@@ -62,6 +62,7 @@ class BoostReport:
     mean_weight: float
     mean_confidence: float
     class_vote_mass: np.ndarray  # (K,) mean vote per class
+    boosted: BoostedLabel  # the label these numbers describe
 
 
 def blend(p_oh: np.ndarray, votes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -78,6 +79,29 @@ def blend(p_oh: np.ndarray, votes: np.ndarray, weights: np.ndarray) -> np.ndarra
     w = weights.astype(np.float64)[:, :, None]
     mixed = w * p_oh.astype(np.float64) + (1.0 - w) * votes.astype(np.float64)
     return mixed.astype(np.float32)
+
+
+def _run(pred, vicinity: VicinitySpec, policy: str, report: bool):
+    """Each stage once: ``(labels, boosted, confidence, weights, votes)``.
+
+    Under ``none`` the votes are the one-hot label, and confidence and
+    weights are ``None`` unless ``report`` asks for them.
+    """
+    if policy not in POLICIES:
+        raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
+    pred = np.asarray(pred)
+    labels = argmax_labels(pred)
+    p_oh = one_hot(labels, pred.shape[2])
+    conf = weights = None
+    if policy == "none":
+        votes = p_oh.astype(np.float32)
+    else:
+        votes = vote_integral(p_oh, vicinity) if policy == "ruv" else vote_uniform(p_oh)
+    if policy != "none" or report:
+        conf = confidence(pred)
+        weights = adaptive_weights(conf)
+    data = votes if policy == "none" else blend(p_oh, votes, weights)
+    return labels, BoostedLabel(data, vicinity, policy), conf, weights, votes
 
 
 def boost(
@@ -100,16 +124,7 @@ def boost(
     label and the vote distribution (under border mode ``clip`` they sum
     to 1).
     """
-    if policy not in POLICIES:
-        raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
-    pred = np.asarray(pred)
-    labels = argmax_labels(pred)
-    p_oh = one_hot(labels, pred.shape[2])
-    if policy == "none":
-        return BoostedLabel(p_oh.astype(np.float32), vicinity, policy)
-    votes = vote_integral(p_oh, vicinity) if policy == "ruv" else vote_uniform(p_oh)
-    weights = adaptive_weights(confidence(pred))
-    return BoostedLabel(blend(p_oh, votes, weights), vicinity, policy)
+    return _run(pred, vicinity, policy, report=False)[1]
 
 
 def boost_report(
@@ -117,21 +132,12 @@ def boost_report(
     vicinity: VicinitySpec = VicinitySpec(),
     policy: str = "ruv",
 ) -> BoostReport:
-    """Boost a map and summarize what the booster did to it."""
-    boosted = boost(pred, vicinity, policy)
-    before = argmax_labels(pred)
-    after = argmax_labels(boosted.data)
-    conf = confidence(pred)
-    weights = adaptive_weights(conf)
-    if policy == "none":
-        votes = boosted.data
-    elif policy == "ruv":
-        votes = vote_integral(one_hot(before, pred.shape[2]), vicinity)
-    else:
-        votes = vote_uniform(one_hot(before, pred.shape[2]))
+    """Boost a map once and summarize what the booster did; ``boosted`` is the label itself."""
+    before, boosted, conf, weights, votes = _run(pred, vicinity, policy, report=True)
     return BoostReport(
-        changed_fraction=float(np.mean(before != after)),
+        changed_fraction=float(np.mean(before != argmax_labels(boosted.data))),
         mean_weight=float(weights.mean(dtype=np.float64)),
         mean_confidence=float(conf.mean()),
         class_vote_mass=votes.mean(axis=(0, 1), dtype=np.float64),
+        boosted=boosted,
     )

@@ -3,11 +3,15 @@
 Everything here treats hypotheses as products of identity-covariance
 Gaussians whose means are linear readouts ``M @ x`` of an input
 representation, optionally shifted by a booster offset added to the
-weights. Two quantities are computed in closed form:
+weights. Three quantities are computed in closed form:
 
-* the KL divergence between two such products, and
-* the high-probability gap bound ``sqrt((KL + ln(2 sqrt(N) / delta)) / (2N))``
-  together with the full empirical-risk upper bound it implies.
+* the KL divergence between two such products,
+* the high-probability gap bound ``sqrt((KL + ln(2 sqrt(N) / delta)) / (2N))``,
+* the empirical-risk upper bound
+  ``risk + sqrt(KL / (2N)) + sqrt(ln(2 sqrt(N) / delta) / (2N))``, which
+  splits the gap bound's root in two and so never falls below
+  ``risk + gap bound``. A risk bound from a KL value and one from two
+  posteriors both use this form.
 
 The KL carries a ``mode`` switch: ``paper`` scales the squared mean
 distance by the dimension ``d``, while ``standard`` is the textbook
@@ -124,13 +128,17 @@ def risk_upper_bound(
     monotone in the distance between the two posterior means; shrinking
     ``||mu_p - mu_q||`` (e.g. by a well-chosen booster offset) never raises it.
     """
+    return _risk_bound(empirical_risk, kl_gaussian_product(q, p, mode), n, delta)
+
+
+def _risk_bound(empirical_risk: float, kl: float, n: int, delta: float) -> float:
+    """The two-root risk bound for a given KL value; see the module docstring."""
     if not 0.0 <= empirical_risk <= 1.0:
         raise ValidationError(f"empirical risk must lie in [0, 1], got {empirical_risk}")
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
     if not 0.0 < delta < 1.0:
         raise ValidationError(f"delta must lie in (0, 1), got {delta}")
-    kl = kl_gaussian_product(q, p, mode)
     return (
         empirical_risk
         + math.sqrt(kl / (2.0 * n))

@@ -3,12 +3,14 @@
 One binary, subcommand style::
 
     segboost boost pred.ten1 --out boosted.ten1 --vicinity 5 --policy ruv
-    segboost vote labels.ten1 --out votes.ten1 --fast
+    segboost vote labels.ten1 --out votes.ten1
     segboost conf pred.ten1 --out conf.ten1
     segboost eval truth.ten1 pred.ten1
     segboost simulate --policies none,uniform,ruv --vicinities 3,5 --out grid.csv
     segboost bounds --kl 0 --n 100 --delta 0.05
     segboost export-pgm labels.ten1 --out labels.pgm --classes 3
+
+``vote`` always takes the integral path; ``--fast`` is accepted for compatibility.
 
 Tensors travel as TEN1 files, tables as CSV (stdout or ``--out``).
 Exit codes: 0 success, 1 usage error, 2 data error.
@@ -22,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .booster import POLICIES, boost, boost_report
+from .booster import POLICIES, boost_report
 from .bounds import (
     KL_MODES,
     GaussianPosterior,
+    _risk_bound,
     gap_bound,
     kl_gaussian_product,
-    risk_upper_bound,
 )
 from .confidence import adaptive_weights, confidence
 from .metrics import ConfusionMatrix
@@ -44,7 +46,7 @@ from .tensors import (
     validate_probmap,
     write_tensor,
 )
-from .voting import BORDER_MODES, VicinitySpec, vote_integral, vote_naive
+from .voting import BORDER_MODES, VicinitySpec, vote_integral
 
 
 class _UsageError(Exception):
@@ -113,14 +115,9 @@ def _vicinity(args) -> VicinitySpec:
 
 
 def _cmd_boost(args) -> int:
-    pred = _load_probmap(args.input)
-    spec = _vicinity(args)
-    boosted = boost(pred, spec, args.policy)
-    if args.harden:
-        _write_file(args.out, argmax_labels(boosted.data))
-    else:
-        _write_file(args.out, boosted.data)
-    report = boost_report(pred, spec, args.policy)
+    report = boost_report(_load_probmap(args.input), _vicinity(args), args.policy)
+    boosted = report.boosted.data
+    _write_file(args.out, argmax_labels(boosted) if args.harden else boosted)
     lines = [
         "metric,value",
         f"changed_fraction,{report.changed_fraction:.6f}",
@@ -174,9 +171,7 @@ def _labels_from_file(path: str, classes: int | None):
 def _cmd_vote(args) -> int:
     labels, k = _labels_from_file(args.input, args.classes)
     p_oh = one_hot(labels, k)
-    voter = vote_integral if args.fast else vote_naive
-    votes = voter(p_oh, _vicinity(args))
-    _write_file(args.out, votes)
+    _write_file(args.out, vote_integral(p_oh, _vicinity(args)))
     return 0
 
 
@@ -247,9 +242,7 @@ def _cmd_bounds(args) -> int:
         lines.append(f"kl,{mode},{kl:.6f}")
     lines.append(f"gap_bound,{mode},{gap_bound(kl, args.n, args.delta):.6f}")
     if args.risk is not None:
-        bound = args.risk + gap_bound(kl, args.n, args.delta)
-        if args.mu_q is not None:
-            bound = risk_upper_bound(args.risk, q, p, args.n, args.delta, mode=mode)
+        bound = _risk_bound(args.risk, kl, args.n, args.delta)
         lines.append(f"risk_upper_bound,{mode},{bound:.6f}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -301,7 +294,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output TEN1 path")
     _add_window_flags(p)
     p.add_argument("--classes", type=int, help="class count override for label maps")
-    p.add_argument("--fast", action="store_true", help="use the integral-image path")
+    p.add_argument("--fast", action="store_true", help="no effect; kept for compatibility")
     p.set_defaults(func=_cmd_vote)
 
     p = sub.add_parser("eval", help="per-class IoU and mIoU between two label files")

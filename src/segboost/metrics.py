@@ -30,7 +30,7 @@ class ConfusionMatrix:
         t = truth.reshape(-1)[keep].astype(np.int64)
         p = pred.reshape(-1)[keep].astype(np.int64)
         k = self.classes
-        if t.size and (t.max() >= k or p.max() >= k):
+        if t.size and (min(t.min(), p.min()) < 0 or max(t.max(), p.max()) >= k):
             raise ValidationError(f"label outside [0, {k}) in evaluated pixels")
         self.counts += np.bincount(t * k + p, minlength=k * k).reshape(k, k).astype(np.uint64)
         return self

@@ -33,7 +33,7 @@ import numpy as np
 from .booster import boost
 from .metrics import ConfusionMatrix
 from .tensors import ValidationError, argmax_labels, one_hot
-from .voting import VicinitySpec, _window_bounds
+from .voting import VicinitySpec, _window_sums
 
 CSV_HEADER = "policy,vicinity,seed,iter,miou"
 
@@ -122,14 +122,7 @@ class TrainResult:
 
 def _box_mean(plane: np.ndarray, radius: int = 1) -> np.ndarray:
     """Local mean over a (2r+1)^2 window clipped to the image."""
-    h, w = plane.shape
-    sat = np.zeros((h + 1, w + 1))
-    np.cumsum(plane, axis=0, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-    r_lo, r_hi = _window_bounds(h, radius)
-    c_lo, c_hi = _window_bounds(w, radius)
-    sums = sat[r_hi][:, c_hi] - sat[r_lo][:, c_hi] - sat[r_hi][:, c_lo] + sat[r_lo][:, c_lo]
-    area = (r_hi - r_lo)[:, None] * (c_hi - c_lo)[None, :]
+    sums, area = _window_sums(plane, radius, radius, np.float64)
     return sums / area
 
 

@@ -79,35 +79,32 @@ def _check_one_hot(p_oh: np.ndarray) -> np.ndarray:
     return p_oh
 
 
-def _window_bounds(n: int, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    # Half-open [lo, hi) per index, clipped to the image.
-    idx = np.arange(n)
-    lo = np.clip(idx - radius, 0, n)
-    hi = np.clip(idx + radius + 1, 0, n)
-    return lo, hi
+def _window_sums(values: np.ndarray, r_rows: int, r_cols: int, dtype):
+    """Sums of ``(H, W, ...)`` values over centered windows clipped to the image.
+
+    Returns the sums and the ``(H, W)`` in-bounds window areas. The
+    summed-area table (Crow 1984) is two cumulative sums in ``dtype``, rows
+    then columns; each window sum is four corner lookups.
+    """
+    h, w = values.shape[:2]
+    sat = np.zeros((h + 1, w + 1) + values.shape[2:], dtype=dtype)
+    np.cumsum(values, axis=0, dtype=dtype, out=sat[1:, 1:])
+    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    rows, cols = np.arange(h), np.arange(w)
+    r_lo, r_hi = np.clip(rows - r_rows, 0, h), np.clip(rows + r_rows + 1, 0, h)
+    c_lo, c_hi = np.clip(cols - r_cols, 0, w), np.clip(cols + r_cols + 1, 0, w)
+    sums = sat[r_hi][:, c_hi] - sat[r_lo][:, c_hi] - sat[r_hi][:, c_lo] + sat[r_lo][:, c_lo]
+    area = (r_hi - r_lo)[:, None] * (c_hi - c_lo)[None, :]
+    return sums, area
 
 
-def _denominator(shape, v: VicinitySpec, ops: OpCounter | None):
-    h, w = shape
-    if v.border == "zero":
-        return np.int64(v.size)
-    r_lo, r_hi = _window_bounds(h, v.height // 2)
-    c_lo, c_hi = _window_bounds(w, v.width // 2)
-    denom = (r_hi - r_lo)[:, None] * (c_hi - c_lo)[None, :]
-    if ops is not None:
-        ops.tally(3 * h * w)  # two subtractions + one product per pixel
-    return denom
-
-
-def _finish(counts: np.ndarray, denom, ops: OpCounter | None) -> np.ndarray:
+def _finish(counts: np.ndarray, area: np.ndarray, v: VicinitySpec, ops: OpCounter | None):
     # int64 / int64 -> float64, single rounding into float32; shared by both
     # paths so bit-identity reduces to equality of the integer counts.
+    clip = v.border == "clip"
     if ops is not None:
-        ops.tally(counts.size)
-    if np.ndim(denom) == 0:
-        votes = counts / denom
-    else:
-        votes = counts / denom[:, :, None]
+        ops.tally(counts.size + (3 * area.size if clip else 0))  # area: 2 subtractions + 1 product
+    votes = counts / (area[:, :, None] if clip else np.int64(v.size))
     return votes.astype(np.float32)
 
 
@@ -129,6 +126,16 @@ def vote_counts_naive(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None =
     return counts
 
 
+def _counts_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None):
+    p_oh = _check_one_hot(p_oh)
+    h, w, k = p_oh.shape
+    counts, area = _window_sums(p_oh, v.height // 2, v.width // 2, np.int64)
+    if ops is not None:
+        ops.tally((h - 1) * w * k + h * (w - 1) * k)  # the two cumulative sums
+        ops.tally(3 * h * w * k)  # corner combination
+    return counts, area
+
+
 def vote_counts_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = None) -> np.ndarray:
     """Integer window counts via per-class summed-area tables.
 
@@ -136,35 +143,21 @@ def vote_counts_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | Non
     window size: two cumulative sums build the table and four corner
     lookups recover each window sum.
     """
-    p_oh = _check_one_hot(p_oh)
-    h, w, k = p_oh.shape
-    sat = np.zeros((h + 1, w + 1, k), dtype=np.int64)
-    np.cumsum(p_oh, axis=0, dtype=np.int64, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
-    r_lo, r_hi = _window_bounds(h, v.height // 2)
-    c_lo, c_hi = _window_bounds(w, v.width // 2)
-    counts = (
-        sat[r_hi][:, c_hi]
-        - sat[r_lo][:, c_hi]
-        - sat[r_hi][:, c_lo]
-        + sat[r_lo][:, c_lo]
-    )
-    if ops is not None:
-        ops.tally((h - 1) * w * k + h * (w - 1) * k)  # the two cumulative sums
-        ops.tally(3 * h * w * k)  # corner combination
-    return counts
+    return _counts_integral(p_oh, v, ops)[0]
 
 
 def vote_naive(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = None) -> np.ndarray:
     """Regional vote map by direct counting. Output float32 ``(H, W, K)``."""
     counts = vote_counts_naive(p_oh, v, ops)
-    return _finish(counts, _denominator(counts.shape[:2], v, ops), ops)
+    # A class-free slice of the counts has the right shape and costs nothing to sum.
+    _, area = _window_sums(counts[:, :, :0], v.height // 2, v.width // 2, np.int64)
+    return _finish(counts, area, v, ops)
 
 
 def vote_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = None) -> np.ndarray:
     """Regional vote map via summed-area tables; bit-identical to vote_naive."""
-    counts = vote_counts_integral(p_oh, v, ops)
-    return _finish(counts, _denominator(counts.shape[:2], v, ops), ops)
+    counts, area = _counts_integral(p_oh, v, ops)
+    return _finish(counts, area, v, ops)
 
 
 def vote_uniform(p_oh: np.ndarray) -> np.ndarray:

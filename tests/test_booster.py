@@ -158,3 +158,14 @@ class TestBoostReport:
         pred = _random_probmap(rng, 10, 10, 4)
         rep = boost_report(pred, VicinitySpec(5, 5), "none")
         assert rep.changed_fraction == 0.0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("border", ["clip", "zero"])
+    def test_carries_the_boost_output_bytes(self, policy, border):
+        rng = np.random.default_rng(30)
+        pred = _random_probmap(rng, 12, 9, 4)
+        v = VicinitySpec(5, 3, border)
+        rep = boost_report(pred, v, policy)
+        ref = boost(pred, v, policy)
+        assert rep.boosted.data.tobytes() == ref.data.tobytes()
+        assert (rep.boosted.vicinity, rep.boosted.policy) == (v, policy)

@@ -6,9 +6,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import segboost.booster
 from segboost import (
     IGNORE_LABEL,
     argmax_labels,
+    boost_report,
     one_hot,
     read_tensor,
     vote_naive,
@@ -103,6 +105,31 @@ class TestBoostCommand:
         run_cli("boost", str(path), "--out", str(out))
         blob = out.read_bytes()
         assert write_tensor(read_tensor(blob)) == blob
+
+    @pytest.mark.parametrize("policy", ["ruv", "uniform", "none"])
+    def test_report_lines_are_the_library_report(self, probmap, tmp_path, policy):
+        path, pred = probmap
+        _, text, _ = run_cli("boost", str(path), "--out", str(tmp_path / "b.ten1"),
+                             "--vicinity", "3", "--border", "zero", "--policy", policy)
+        rep = boost_report(pred, VicinitySpec(3, 3, "zero"), policy)
+        assert text.splitlines() == [
+            "metric,value",
+            f"changed_fraction,{rep.changed_fraction:.6f}",
+            f"mean_weight,{rep.mean_weight:.6f}",
+            f"mean_confidence,{rep.mean_confidence:.6f}",
+        ]
+
+    @pytest.mark.parametrize("harden", [[], ["--harden"]])
+    def test_each_stage_runs_once(self, probmap, tmp_path, monkeypatch, harden):
+        path, _ = probmap
+        calls = {"vote_integral": 0, "confidence": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(segboost.booster, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(segboost.booster, name, counted)
+        assert run_cli("boost", str(path), "--out", str(tmp_path / "b.ten1"), *harden)[0] == 0
+        assert calls == {"vote_integral": 1, "confidence": 1}
 
 
 class TestVoteAndConf:
@@ -222,6 +249,18 @@ class TestBoundsCommand:
         _, text, _ = run_cli("bounds", "--mu-q", "1,2", "--mu-p", "0,0", "--n", "50",
                              "--mode", "standard")
         assert "kl,standard,2.500000" in text
+
+    def test_kl_and_mean_routes_give_one_risk_bound(self):
+        # standard-mode KL of means (1, 0) and (0, 0) is 0.5
+        by_kl = run_cli("bounds", "--kl", "0.5", "--n", "100", "--risk", "0.1")[1]
+        by_means = run_cli("bounds", "--mu-q", "1,0", "--mu-p", "0,0", "--mode", "standard",
+                           "--n", "100", "--risk", "0.1")[1]
+        assert "kl,standard,0.500000" in by_means
+        risk_lines = [
+            [line.rsplit(",", 1)[1] for line in text.splitlines() if line.startswith("risk_upper_bound,")]
+            for text in (by_kl, by_means)
+        ]
+        assert risk_lines[0] == risk_lines[1] == ["0.323082"]
 
     def test_kl_and_means_together_is_usage_error(self):
         assert run_cli("bounds", "--kl", "1", "--mu-q", "1", "--mu-p", "0", "--n", "5")[0] == 1

@@ -84,6 +84,19 @@ class TestConfusionMatrix:
         with pytest.raises(ValidationError):
             cm.update(_lab([[0]]), _lab([[5]]))
 
+    def test_negative_prediction_rejected(self):
+        # -1 would otherwise land in the flat bincount one cell early
+        cm = ConfusionMatrix(3)
+        with pytest.raises(ValidationError):
+            cm.update(np.array([[0, 1]]), np.array([[0, -1]]))
+        assert cm.total() == 0
+
+    def test_negative_truth_rejected(self):
+        cm = ConfusionMatrix(3)
+        with pytest.raises(ValidationError):
+            cm.update(np.array([[0, -1]]), np.array([[0, 1]]))
+        assert cm.total() == 0
+
     def test_class_permutation_invariance(self):
         rng = np.random.default_rng(7)
         truth = rng.integers(0, 4, size=(10, 10)).astype(np.uint16)

@@ -4,6 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from segboost import (
@@ -23,6 +26,7 @@ from segboost import (
     train_cps,
     train_supervised,
 )
+from segboost.simulate import _box_mean
 
 
 def _small_cfg(**kw):
@@ -90,6 +94,24 @@ class TestGenerate:
             for j in (0, 3, 6):
                 window = img0[max(i - 1, 0):i + 2, max(j - 1, 0):j + 2]
                 assert smooth[i, j] == pytest.approx(window.mean(), abs=1e-12)
+
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12)), radius=st.integers(0, 14),
+           integral=st.booleans(), data=st.data())
+    def test_box_mean_matches_clipped_window_loop(self, shape, radius, integral, data):
+        # integer-valued planes keep every sum exact, so the two must agree bit for bit
+        values = st.integers(-1000, 1000).map(float) if integral else st.floats(-10, 10)
+        plane = data.draw(arrays(np.float64, shape, elements=values))
+        h, w = shape
+        want = np.array([
+            [plane[max(i - radius, 0):i + radius + 1, max(j - radius, 0):j + radius + 1].mean()
+             for j in range(w)]
+            for i in range(h)
+        ])
+        got = _box_mean(plane, radius)
+        if integral:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_rejects_degenerate_requests(self):
         with pytest.raises(ValidationError):

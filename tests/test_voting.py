@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from segboost import (
     IGNORE_LABEL,
@@ -202,3 +205,42 @@ class TestInputChecks:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValidationError):
             vote_integral(np.zeros((2, 2), dtype=np.uint8), VicinitySpec(3, 3))
+
+
+def _label_maps(shape, k):
+    return arrays(np.uint16, shape, elements=st.sampled_from([*range(k), IGNORE_LABEL]))
+
+
+_odd = st.integers(0, 20).map(lambda r: 2 * r + 1)
+_vicinities = st.builds(VicinitySpec, _odd, _odd, st.sampled_from(["clip", "zero"]))
+_sides = st.integers(1, 12)
+
+
+def _assert_voters_agree(labels, k, v):
+    p_oh = one_hot(labels, k)
+    assert vote_integral(p_oh, v).tobytes() == vote_naive(p_oh, v).tobytes()
+
+
+class TestVoterProperties:
+    """vote_integral against the vote_naive oracle on degenerate shapes."""
+
+    @given(n=st.integers(1, 30), k=st.integers(1, 4), vertical=st.booleans(), data=st.data())
+    def test_single_row_or_column(self, n, k, vertical, data):
+        shape = (n, 1) if vertical else (1, n)
+        _assert_voters_agree(data.draw(_label_maps(shape, k)), k, data.draw(_vicinities))
+
+    @given(h=_sides, w=_sides, v=_vicinities, data=st.data())
+    def test_single_class(self, h, w, v, data):
+        _assert_voters_agree(data.draw(_label_maps((h, w), 1)), 1, v)
+
+    @given(h=_sides, w=_sides, k=st.integers(1, 4), v=_vicinities)
+    def test_all_void(self, h, w, k, v):
+        labels = np.full((h, w), IGNORE_LABEL, dtype=np.uint16)
+        _assert_voters_agree(labels, k, v)
+        assert not vote_integral(one_hot(labels, k), v).any()
+
+    @given(h=_sides, w=_sides, k=st.integers(1, 4), extra=st.tuples(_odd, _odd),
+           border=st.sampled_from(["clip", "zero"]), data=st.data())
+    def test_window_larger_than_image(self, h, w, k, extra, border, data):
+        v = VicinitySpec(2 * h + extra[0], 2 * w + extra[1], border)
+        _assert_voters_agree(data.draw(_label_maps((h, w), k)), k, v)
