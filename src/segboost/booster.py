@@ -15,9 +15,12 @@ toward the class distribution of their own neighborhood. Policies:
   to degrade results),
 * ``none``    - pass the one-hot label through untouched.
 
-The blend runs in float64 and is stored as float32, so rows at weight
-exactly 0 or 1 reproduce the votes / one-hot rows bit-for-bit and every
-entry stays inside the [min, max] envelope of its two sources.
+The blend runs in float64 and is rounded to float32 once, so rows at
+weight exactly 0 or 1 reproduce the votes / one-hot rows bit-for-bit and
+every entry stays inside the [min, max] envelope of its two sources. It
+never builds a float64 one-hot: it scales the votes by ``1 - W`` and adds
+``W`` at the set one-hot entries, which for weights in [0, 1] and
+non-negative votes gives the same bits as the formula above.
 """
 
 from __future__ import annotations
@@ -77,7 +80,10 @@ def blend(p_oh: np.ndarray, votes: np.ndarray, weights: np.ndarray) -> np.ndarra
             f"weights shape {weights.shape} does not match map shape {p_oh.shape[:2]}"
         )
     w = weights.astype(np.float64)[:, :, None]
-    mixed = w * p_oh.astype(np.float64) + (1.0 - w) * votes.astype(np.float64)
+    mixed = np.multiply(1.0 - w, votes, dtype=np.float64)
+    # One-hot entries are exactly 0 or 1: add W where set, and elsewhere skip
+    # adding W * 0, which could not change a bit.
+    np.add(mixed, w, out=mixed, where=p_oh.astype(bool))
     return mixed.astype(np.float32)
 
 

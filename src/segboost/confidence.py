@@ -36,9 +36,12 @@ def confidence(pred: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"negative probability {pred[r, c, k]!r} at pixel ({r}, {c}), class {k}"
         )
-    p = pred.astype(np.float64, copy=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(p), 0.0)
+    # Both ufuncs compute in float64 straight from ``pred`` and touch only
+    # positive entries, so zeros (and anything else not > 0) add exactly 0.
+    positive = pred > 0.0
+    terms = np.zeros(pred.shape)
+    np.log(pred, out=terms, where=positive, dtype=np.float64)
+    np.multiply(terms, pred, out=terms, where=positive, dtype=np.float64)
     return terms.sum(axis=2)
 
 

@@ -21,11 +21,18 @@ class ConfusionMatrix:
         self.counts = np.zeros((classes, classes), dtype=np.uint64)
 
     def update(self, truth: np.ndarray, pred: np.ndarray) -> "ConfusionMatrix":
-        """Tally one truth/prediction pair; void truth pixels are skipped."""
+        """Tally one truth/prediction pair; void truth pixels are skipped.
+
+        Both label maps must be integer-typed with values in ``[0, classes)``
+        (void truth pixels aside); anything else raises ``ValidationError``.
+        """
         truth = np.asarray(truth)
         pred = np.asarray(pred)
         if truth.shape != pred.shape:
             raise ValidationError(f"shape mismatch: truth {truth.shape} vs pred {pred.shape}")
+        for name, labels in (("truth", truth), ("pred", pred)):
+            if not np.issubdtype(labels.dtype, np.integer):
+                raise ValidationError(f"{name} labels must be integer-typed, got {labels.dtype}")
         keep = truth.reshape(-1) != IGNORE_LABEL
         t = truth.reshape(-1)[keep].astype(np.int64)
         p = pred.reshape(-1)[keep].astype(np.int64)

@@ -39,12 +39,11 @@ class ValidationError(ValueError):
 
 
 class LabelRangeError(ValidationError):
-    """A label value is out of range for the requested class count."""
+    """A label value is negative or out of range for the requested class count."""
 
     def __init__(self, row: int, col: int, value: int, classes: int):
-        super().__init__(
-            f"label {value} at pixel ({row}, {col}) is >= class count {classes}"
-        )
+        problem = "is negative" if value < 0 else f"is >= class count {classes}"
+        super().__init__(f"label {value} at pixel ({row}, {col}) {problem}")
         self.pixel = (row, col)
         self.value = value
 
@@ -60,6 +59,9 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     Returns
     -------
     (H, W, K) uint8 array. Rows of void pixels are all zero.
+
+    Raises :class:`LabelRangeError` naming the first pixel whose label is
+    negative or ``>= classes``.
     """
     labels = np.asarray(labels)
     if labels.ndim != 2:
@@ -68,6 +70,8 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
         raise ValidationError(f"class count must be in [1, {IGNORE_LABEL}), got {classes}")
     valid = labels != IGNORE_LABEL
     bad = valid & (labels >= classes)
+    if labels.dtype.kind == "i":  # only signed maps can hold a negative label
+        bad |= labels < 0
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise LabelRangeError(int(r), int(c), int(labels[r, c]), classes)

@@ -82,30 +82,45 @@ def _check_one_hot(p_oh: np.ndarray) -> np.ndarray:
 def _window_sums(values: np.ndarray, r_rows: int, r_cols: int, dtype):
     """Sums of ``(H, W, ...)`` values over centered windows clipped to the image.
 
-    Returns the sums and the ``(H, W)`` in-bounds window areas. The
-    summed-area table (Crow 1984) is two cumulative sums in ``dtype``, rows
-    then columns; each window sum is four corner lookups.
+    Returns the sums in ``dtype`` and the ``(H, W)`` int64 in-bounds window
+    areas. The summed-area table (Crow 1984) is two cumulative sums in
+    ``dtype``, rows then columns, written into a buffer padded by the window
+    radius: zeros at the top and left, the last table row and column
+    repeated at the bottom and right. Every clipped window corner is then a
+    plain slice of the buffer, and the four corners are combined in place as
+    ``((bottom_hi - top_hi) - bottom_lo) + top_lo``, the same order as the
+    clipped-index formula, so float tables keep their bits.
     """
     h, w = values.shape[:2]
-    sat = np.zeros((h + 1, w + 1) + values.shape[2:], dtype=dtype)
-    np.cumsum(values, axis=0, dtype=dtype, out=sat[1:, 1:])
-    np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+    # A radius past the image edge clips to the same corners as one at the edge.
+    rr, rc = min(r_rows, h), min(r_cols, w)
+    sat = np.zeros((h + 2 * rr + 1, w + 2 * rc + 1) + values.shape[2:], dtype=dtype)
+    body = sat[rr + 1:rr + 1 + h, rc + 1:rc + 1 + w]
+    np.cumsum(values, axis=0, dtype=dtype, out=body)
+    np.cumsum(body, axis=1, out=body)
+    sat[:, rc + 1 + w:] = sat[:, rc + w:rc + w + 1]
+    sat[rr + 1 + h:] = sat[rr + h:rr + h + 1]
+    lo_r, hi_r = slice(0, h), slice(2 * rr + 1, 2 * rr + 1 + h)
+    lo_c, hi_c = slice(0, w), slice(2 * rc + 1, 2 * rc + 1 + w)
+    sums = np.subtract(sat[hi_r, hi_c], sat[lo_r, hi_c])
+    sums -= sat[hi_r, lo_c]
+    sums += sat[lo_r, lo_c]
     rows, cols = np.arange(h), np.arange(w)
-    r_lo, r_hi = np.clip(rows - r_rows, 0, h), np.clip(rows + r_rows + 1, 0, h)
-    c_lo, c_hi = np.clip(cols - r_cols, 0, w), np.clip(cols + r_cols + 1, 0, w)
-    sums = sat[r_hi][:, c_hi] - sat[r_lo][:, c_hi] - sat[r_hi][:, c_lo] + sat[r_lo][:, c_lo]
-    area = (r_hi - r_lo)[:, None] * (c_hi - c_lo)[None, :]
-    return sums, area
+    r_span = np.minimum(rows + r_rows + 1, h) - np.maximum(rows - r_rows, 0)
+    c_span = np.minimum(cols + r_cols + 1, w) - np.maximum(cols - r_cols, 0)
+    return sums, r_span[:, None] * c_span[None, :]
 
 
 def _finish(counts: np.ndarray, area: np.ndarray, v: VicinitySpec, ops: OpCounter | None):
-    # int64 / int64 -> float64, single rounding into float32; shared by both
-    # paths so bit-identity reduces to equality of the integer counts.
+    # Integer counts / int64 divisor computed in float64, rounded once into
+    # float32; shared by both paths so bit-identity reduces to equality of
+    # the integer counts, whatever their width.
     clip = v.border == "clip"
     if ops is not None:
         ops.tally(counts.size + (3 * area.size if clip else 0))  # area: 2 subtractions + 1 product
-    votes = counts / (area[:, :, None] if clip else np.int64(v.size))
-    return votes.astype(np.float32)
+    votes = np.empty(counts.shape, dtype=np.float32)
+    np.divide(counts, area[:, :, None] if clip else np.int64(v.size), out=votes, dtype=np.float64)
+    return votes
 
 
 def vote_counts_naive(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = None) -> np.ndarray:
@@ -129,7 +144,9 @@ def vote_counts_naive(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None =
 def _counts_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None):
     p_oh = _check_one_hot(p_oh)
     h, w, k = p_oh.shape
-    counts, area = _window_sums(p_oh, v.height // 2, v.width // 2, np.int64)
+    # Each count is at most h * w, so int32 cannot overflow below 2**31 pixels.
+    dtype = np.int32 if h * w < 2**31 else np.int64
+    counts, area = _window_sums(p_oh, v.height // 2, v.width // 2, dtype)
     if ops is not None:
         ops.tally((h - 1) * w * k + h * (w - 1) * k)  # the two cumulative sums
         ops.tally(3 * h * w * k)  # corner combination
@@ -141,9 +158,9 @@ def vote_counts_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | Non
 
     The arithmetic volume depends only on the map shape, never on the
     window size: two cumulative sums build the table and four corner
-    lookups recover each window sum.
+    lookups recover each window sum. Returned as int64, like the naive path.
     """
-    return _counts_integral(p_oh, v, ops)[0]
+    return _counts_integral(p_oh, v, ops)[0].astype(np.int64, copy=False)
 
 
 def vote_naive(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = None) -> np.ndarray:

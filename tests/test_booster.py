@@ -1,9 +1,12 @@
 """Blending one-hot labels with regional votes under adaptive weights."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from segboost import (
+    IGNORE_LABEL,
     POLICIES,
     ValidationError,
     VicinitySpec,
@@ -64,6 +67,21 @@ class TestBlend:
         np.testing.assert_allclose(half[0, 0], [0.125, 0.875], rtol=1e-6)
         quarter = blend(p_oh, votes, np.array([[0.25]], dtype=np.float32))
         np.testing.assert_allclose(quarter[0, 0], [0.1875, 0.8125], rtol=1e-6)
+
+    def test_matches_float64_one_hot_formula_bitwise(self):
+        # oracle: the float64 formula over a float64 one-hot, rounded once
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            h, w = rng.integers(1, 20, size=2)
+            k = int(rng.integers(1, 6))
+            labels = rng.integers(0, k, size=(h, w)).astype(np.uint16)
+            labels[rng.random((h, w)) < 0.2] = IGNORE_LABEL  # all-zero one-hot rows
+            p_oh = one_hot(labels, k)
+            votes = rng.random((h, w, k)).astype(np.float32)
+            weights = rng.uniform(0.001, 0.999, size=(h, w)).astype(np.float32)
+            w64 = weights.astype(np.float64)[:, :, None]
+            want = w64 * p_oh.astype(np.float64) + (1.0 - w64) * votes.astype(np.float64)
+            assert blend(p_oh, votes, weights).tobytes() == want.astype(np.float32).tobytes()
 
     def test_shape_mismatch_rejected(self):
         p_oh = one_hot(np.zeros((2, 2), dtype=np.uint16), 2)
@@ -169,3 +187,16 @@ class TestBoostReport:
         ref = boost(pred, v, policy)
         assert rep.boosted.data.tobytes() == ref.data.tobytes()
         assert (rep.boosted.vicinity, rep.boosted.policy) == (v, policy)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("run", [boost, boost_report])
+    def test_traced_peak_is_at_most_six_inputs(self, run):
+        pred = _random_probmap(np.random.default_rng(40), 128, 256, 19)
+        tracemalloc.start()
+        try:
+            run(pred, VicinitySpec(5, 5), "ruv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * pred.nbytes, f"peak {peak / pred.nbytes:.2f}x the input"

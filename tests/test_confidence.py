@@ -37,6 +37,18 @@ class TestConfidence:
         pred = np.array([[[0.0, 1.0, 0.0]]])
         assert confidence(pred)[0, 0] == 0.0
 
+    def test_matches_where_formula_bitwise(self):
+        # oracle: p * ln(p) where p > 0, else 0, summed over classes in float64
+        rng = np.random.default_rng(13)
+        for dtype in (np.float32, np.float64):
+            pred = rng.random((9, 13, 5)).astype(dtype)
+            pred[pred < 0.3] = 0.0  # exact zeros, including some all-zero rows
+            pred[0, 0] = 0.0
+            p = pred.astype(np.float64)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = np.where(p > 0, p * np.log(p), 0.0).sum(axis=2)
+            assert confidence(pred).tobytes() == want.tobytes()
+
     def test_negative_probability_rejected(self):
         pred = np.full((2, 2, 2), 0.5)
         pred[0, 1, 0] = -0.25

@@ -97,6 +97,16 @@ class TestConfusionMatrix:
             cm.update(np.array([[0, -1]]), np.array([[0, 1]]))
         assert cm.total() == 0
 
+    @pytest.mark.parametrize("floats", ["truth", "pred"])
+    def test_float_labels_rejected(self, floats):
+        # astype(int64) would truncate 0.7 -> 0 and 1.2 -> 1 into a perfect match
+        soft, hard = np.array([[0.7, 1.2]]), _lab([[0, 1]])
+        args = (soft, hard) if floats == "truth" else (hard, soft)
+        cm = ConfusionMatrix(2)
+        with pytest.raises(ValidationError, match=floats):
+            cm.update(*args)
+        assert cm.total() == 0
+
     def test_class_permutation_invariance(self):
         rng = np.random.default_rng(7)
         truth = rng.integers(0, 4, size=(10, 10)).astype(np.uint16)

@@ -113,6 +113,23 @@ class TestGenerate:
         else:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12)), radius=st.integers(0, 14),
+           data=st.data())
+    def test_box_mean_bits_match_fancy_index_corners(self, shape, radius, data):
+        # oracle: a float64 summed-area table read through clipped corner
+        # indices, combined as ((hi, hi) - (lo, hi)) - (hi, lo) + (lo, lo)
+        plane = data.draw(arrays(np.float64, shape, elements=st.floats(-10, 10)))
+        h, w = shape
+        sat = np.zeros((h + 1, w + 1))
+        np.cumsum(plane, axis=0, out=sat[1:, 1:])
+        np.cumsum(sat[1:, 1:], axis=1, out=sat[1:, 1:])
+        rows, cols = np.arange(h), np.arange(w)
+        r_lo, r_hi = np.clip(rows - radius, 0, h), np.clip(rows + radius + 1, 0, h)
+        c_lo, c_hi = np.clip(cols - radius, 0, w), np.clip(cols + radius + 1, 0, w)
+        sums = sat[r_hi][:, c_hi] - sat[r_lo][:, c_hi] - sat[r_hi][:, c_lo] + sat[r_lo][:, c_lo]
+        want = sums / ((r_hi - r_lo)[:, None] * (c_hi - c_lo)[None, :])
+        assert _box_mean(plane, radius).tobytes() == want.tobytes()
+
     def test_rejects_degenerate_requests(self):
         with pytest.raises(ValidationError):
             generate(0, classes=1)

@@ -39,6 +39,20 @@ class TestOneHot:
         assert info.value.value == 7
         assert "(1, 1)" in str(info.value)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_negative_label_names_pixel_and_value(self, dtype):
+        labels = np.array([[0, 1], [-1, 0]], dtype=dtype)
+        with pytest.raises(LabelRangeError) as info:
+            one_hot(labels, 3)
+        assert info.value.pixel == (1, 0)
+        assert info.value.value == -1
+        assert "(1, 0)" in str(info.value)
+
+    def test_negative_label_in_plain_list_rejected(self):
+        # -1 used to index from the end and set the last class
+        with pytest.raises(LabelRangeError, match=r"\(0, 0\)"):
+            one_hot([[-1, 0]], 3)
+
     def test_rejects_bad_class_count(self):
         labels = np.zeros((2, 2), dtype=np.uint16)
         with pytest.raises(ValidationError):

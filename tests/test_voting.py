@@ -18,6 +18,7 @@ from segboost import (
     vote_naive,
     vote_uniform,
 )
+from segboost.voting import _window_sums
 
 
 def _window_sum_reference(p_oh, v):
@@ -244,3 +245,18 @@ class TestVoterProperties:
     def test_window_larger_than_image(self, h, w, k, extra, border, data):
         v = VicinitySpec(2 * h + extra[0], 2 * w + extra[1], border)
         _assert_voters_agree(data.draw(_label_maps((h, w), k)), k, v)
+
+    @given(h=_sides, w=_sides, k=st.integers(1, 4), v=_vicinities, line=st.sampled_from([None, 0, 1]),
+           data=st.data())
+    def test_int32_window_sums_equal_int64(self, h, w, k, v, line, data):
+        # 1xN / Nx1 maps and windows up to 41 wide against sides up to 12
+        shape = (h, w) if line is None else ((1, w) if line == 0 else (h, 1))
+        p_oh = one_hot(data.draw(_label_maps(shape, k)), k)
+        rh, rw = v.height // 2, v.width // 2
+        s32, a32 = _window_sums(p_oh, rh, rw, np.int32)
+        s64, a64 = _window_sums(p_oh, rh, rw, np.int64)
+        assert (s32.dtype, s64.dtype) == (np.int32, np.int64)
+        want = _window_sum_reference(p_oh, v)
+        np.testing.assert_array_equal(s32, want)
+        np.testing.assert_array_equal(s64, want)
+        np.testing.assert_array_equal(a32, a64)
