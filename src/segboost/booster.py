@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .confidence import adaptive_weights, confidence
-from .tensors import ValidationError, argmax_labels, one_hot
+from .tensors import ValidationError, argmax_labels, one_hot, validate_probmap
 from .voting import VicinitySpec, vote_integral, vote_uniform
 
 POLICIES = ("ruv", "uniform", "none")
@@ -66,6 +66,7 @@ class BoostReport:
     mean_confidence: float
     class_vote_mass: np.ndarray  # (K,) mean vote per class
     boosted: BoostedLabel  # the label these numbers describe
+    labels: np.ndarray  # (H, W) uint16 argmax of the boosted label
 
 
 def blend(p_oh: np.ndarray, votes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -95,7 +96,7 @@ def _run(pred, vicinity: VicinitySpec, policy: str, report: bool):
     """
     if policy not in POLICIES:
         raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
-    pred = np.asarray(pred)
+    pred = validate_probmap(pred)
     labels = argmax_labels(pred)
     p_oh = one_hot(labels, pred.shape[2])
     conf = weights = None
@@ -120,7 +121,8 @@ def boost(
     Parameters
     ----------
     pred : (H, W, K) float array, rows normalized; the same map that defines
-        the pseudo label also drives the confidence plane
+        the pseudo label also drives the confidence plane; NaN, values outside
+        [0, 1] or a row sum off 1 by more than 1e-4 raise :class:`ValidationError`
     vicinity : voting window spec (ignored by policies without a region)
     policy : one of ``ruv``, ``uniform``, ``none``
 
@@ -138,12 +140,14 @@ def boost_report(
     vicinity: VicinitySpec = VicinitySpec(),
     policy: str = "ruv",
 ) -> BoostReport:
-    """Boost a map once and summarize what the booster did; ``boosted`` is the label itself."""
+    """Boost a map once and summarize it; ``boosted`` is the label, ``labels`` its argmax."""
     before, boosted, conf, weights, votes = _run(pred, vicinity, policy, report=True)
+    after = argmax_labels(boosted.data)
     return BoostReport(
-        changed_fraction=float(np.mean(before != argmax_labels(boosted.data))),
+        changed_fraction=float(np.mean(before != after)),
         mean_weight=float(weights.mean(dtype=np.float64)),
         mean_confidence=float(conf.mean()),
         class_vote_mass=votes.mean(axis=(0, 1), dtype=np.float64),
         boosted=boosted,
+        labels=after,
     )

@@ -106,7 +106,6 @@ def _load_probmap(path: str) -> np.ndarray:
         raise ValidationError(
             f"expected a 3-D float32 probability map, got {arr.dtype} with shape {arr.shape}"
         )
-    validate_probmap(arr)
     return arr
 
 
@@ -116,8 +115,7 @@ def _vicinity(args) -> VicinitySpec:
 
 def _cmd_boost(args) -> int:
     report = boost_report(_load_probmap(args.input), _vicinity(args), args.policy)
-    boosted = report.boosted.data
-    _write_file(args.out, argmax_labels(boosted) if args.harden else boosted)
+    _write_file(args.out, report.labels if args.harden else report.boosted.data)
     lines = [
         "metric,value",
         f"changed_fraction,{report.changed_fraction:.6f}",
@@ -129,7 +127,7 @@ def _cmd_boost(args) -> int:
 
 
 def _cmd_conf(args) -> int:
-    pred = _load_probmap(args.input)
+    pred = validate_probmap(_load_probmap(args.input))
     conf = confidence(pred)
     weights = adaptive_weights(conf)
     if args.out:

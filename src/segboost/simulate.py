@@ -221,11 +221,26 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _check_finite(*models: LinearModel) -> None:
+    for model in models:
+        if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+            raise ValidationError("model parameters are not finite")
+
+
+def _logp(model: LinearModel, features: np.ndarray) -> np.ndarray:
+    return _log_softmax(features @ model.weights.T + model.bias)
+
+
 def forward(model: LinearModel, features: np.ndarray) -> np.ndarray:
     """Per-pixel class probabilities for ``(..., F)`` features."""
-    if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
-        raise ValidationError("model parameters are not finite")
-    return np.exp(_log_softmax(features @ model.weights.T + model.bias))
+    _check_finite(model)
+    return np.exp(_logp(model, features))
+
+
+def _soft_ce(logp: np.ndarray, features: np.ndarray, targets: np.ndarray):
+    loss = -float(np.mean((targets * logp).sum(axis=1)))
+    d = (np.exp(logp) - targets) / targets.shape[0]
+    return loss, d.T @ features, d.sum(axis=0)
 
 
 def cross_entropy_and_grad(model: LinearModel, features: np.ndarray, targets: np.ndarray):
@@ -234,17 +249,12 @@ def cross_entropy_and_grad(model: LinearModel, features: np.ndarray, targets: np
     Returns ``(loss, grad_weights, grad_bias)`` for ``(n, F)`` features and
     ``(n, K)`` targets whose rows lie on the simplex.
     """
-    logits = features @ model.weights.T + model.bias
-    logp = _log_softmax(logits)
-    loss = -float(np.mean((targets * logp).sum(axis=1)))
-    d = (np.exp(logp) - targets) / targets.shape[0]
-    return loss, d.T @ features, d.sum(axis=0)
+    return _soft_ce(_logp(model, features), features, targets)
 
 
 def cross_entropy_hard(model: LinearModel, features: np.ndarray, labels: np.ndarray):
     """Mean CE against integer labels; bitwise-equal to the soft path on one-hots."""
-    logits = features @ model.weights.T + model.bias
-    logp = _log_softmax(logits)
+    logp = _logp(model, features)
     n = labels.shape[0]
     idx = np.arange(n)
     loss = -float(np.mean(logp[idx, labels]))
@@ -278,82 +288,69 @@ def _flat(data: SynthDataset, image_indices: np.ndarray):
     return feats.reshape(-1, feats.shape[-1]), labs.reshape(-1).astype(np.intp)
 
 
-def _pseudo_targets(model: LinearModel, data: SynthDataset, image_indices, config: SimConfig):
-    """Boosted soft targets produced by ``model`` on a batch of unlabeled images."""
+def _pseudo_targets(probs: np.ndarray, config: SimConfig) -> np.ndarray:
+    """Boosted soft targets, one ``(H*W, K)`` block per image of ``(N, H, W, K)`` probabilities."""
+    k = probs.shape[-1]
     targets = []
-    for i in image_indices:
-        pred = forward(model, data.features[i])
+    for pred in probs:
         soft = boost(pred, config.vicinity, config.policy).data
         if config.harden:
-            soft = one_hot(argmax_labels(soft), data.classes).astype(np.float32)
-        targets.append(soft.reshape(-1, data.classes))
+            soft = one_hot(argmax_labels(soft), k).astype(np.float32)
+        targets.append(soft.reshape(-1, k))
     return np.concatenate(targets, axis=0).astype(np.float64)
-
-
-def _run(data: SynthDataset, config: SimConfig, seed, cross_supervised: bool) -> TrainResult:
-    if seed is None:
-        seed = data.seed
-    init_a, init_b, labeled_stream, unlabeled_stream = np.random.SeedSequence(seed).spawn(4)
-    k = data.classes
-    f = data.features.shape[-1]
-    model_a = LinearModel.init(k, f, np.random.default_rng(init_a))
-    model_b = LinearModel.init(k, f, np.random.default_rng(init_b))
-    rng_l = np.random.default_rng(labeled_stream)
-    rng_u = np.random.default_rng(unlabeled_stream)
-    val = generate(
-        data.seed + 1,
-        count=config.val_images,
-        height=data.features.shape[1],
-        width=data.features.shape[2],
-        classes=k,
-        labeled_fraction=config.labeled_fraction,
-        noise=config.noise,
-    )
-    use_unlabeled = cross_supervised and config.lam > 0.0
-    history = []
-    losses = []
-    for t in range(1, config.iters + 1):
-        batch_l = data.labeled_idx[rng_l.integers(0, len(data.labeled_idx), size=config.batch)]
-        x_l, y_l = _flat(data, batch_l)
-        loss_a, gw_a, gb_a = cross_entropy_hard(model_a, x_l, y_l)
-        loss_b, gw_b, gb_b = cross_entropy_hard(model_b, x_l, y_l)
-        if use_unlabeled:
-            batch_u = data.unlabeled_idx[rng_u.integers(0, len(data.unlabeled_idx), size=config.batch)]
-            x_u, _ = _flat(data, batch_u)
-            # Pseudo labels from the pre-update parameters, both directions.
-            targets_from_b = _pseudo_targets(model_b, data, batch_u, config)
-            targets_from_a = _pseudo_targets(model_a, data, batch_u, config)
-            lu_a, gwu_a, gbu_a = cross_entropy_and_grad(model_a, x_u, targets_from_b)
-            lu_b, gwu_b, gbu_b = cross_entropy_and_grad(model_b, x_u, targets_from_a)
-            loss_a += config.lam * lu_a
-            loss_b += config.lam * lu_b
-            gw_a = gw_a + config.lam * gwu_a
-            gb_a = gb_a + config.lam * gbu_a
-            gw_b = gw_b + config.lam * gwu_b
-            gb_b = gb_b + config.lam * gbu_b
-        if not (np.isfinite(loss_a) and np.isfinite(loss_b)):
-            raise TrainingDiverged(t, loss_a if not np.isfinite(loss_a) else loss_b)
-        _sgd_step(model_a, gw_a, gb_a, config)
-        _sgd_step(model_b, gw_b, gb_b, config)
-        losses.append((loss_a, loss_b))
-        if t % config.eval_every == 0 or t == config.iters:
-            history.append((t, evaluate_pair(model_a, model_b, val)))
-    return TrainResult(model_a, model_b, history, losses)
 
 
 def train_cps(data: SynthDataset, config: SimConfig, seed: int | None = None) -> TrainResult:
     """Cross-supervised training of a model pair on one dataset.
 
-    ``seed`` drives initialization and batch sampling; it defaults to the
-    dataset's own seed. Pass ``lam=0`` to cut the unlabeled term; the
-    trajectory is then bitwise identical to :func:`train_supervised`.
+    Each iteration, each model steps on its hard CE over a labeled batch
+    plus ``lam`` times its soft CE against the peer's boosted pseudo labels
+    on an unlabeled batch, both from the pre-update parameters. ``seed``
+    drives initialization and batch sampling (default: the dataset's seed).
+    Validation uses ``val_images`` images generated from ``data.seed + 1``.
+    Raises :class:`TrainingDiverged` on a non-finite loss.
     """
-    return _run(data, config, seed, cross_supervised=True)
+    if seed is None:
+        seed = data.seed
+    init_a, init_b, labeled_stream, unlabeled_stream = np.random.SeedSequence(seed).spawn(4)
+    _, h, w, f = data.features.shape
+    k = data.classes
+    models = [LinearModel.init(k, f, np.random.default_rng(s)) for s in (init_a, init_b)]
+    rng_l = np.random.default_rng(labeled_stream)
+    rng_u = np.random.default_rng(unlabeled_stream)
+    val_config = replace(config, images=config.val_images, height=h, width=w, classes=k)
+    val = generate_from_config(val_config, data.seed + 1)
+    history, losses = [], []
+    for t in range(1, config.iters + 1):
+        batch_l = data.labeled_idx[rng_l.integers(0, len(data.labeled_idx), size=config.batch)]
+        x_l, y_l = _flat(data, batch_l)
+        steps = [cross_entropy_hard(m, x_l, y_l) for m in models]
+        if config.lam > 0.0:
+            batch_u = data.unlabeled_idx[rng_u.integers(0, len(data.unlabeled_idx), size=config.batch)]
+            x_u, _ = _flat(data, batch_u)
+            # One forward per model: its probabilities are the peer's pseudo
+            # targets, its log-probabilities give its own soft-CE gradient.
+            _check_finite(*models)
+            logps = [_logp(m, x_u) for m in models]
+            targets = [_pseudo_targets(np.exp(lp).reshape(-1, h, w, k), config) for lp in logps]
+            steps = [
+                tuple(s + config.lam * u for s, u in zip(step, _soft_ce(lp, x_u, peer_targets)))
+                for step, lp, peer_targets in zip(steps, logps, targets[::-1])
+            ]
+        for loss, _, _ in steps:
+            if not np.isfinite(loss):
+                raise TrainingDiverged(t, loss)
+        for m, (_, gw, gb) in zip(models, steps):
+            _sgd_step(m, gw, gb, config)
+        losses.append(tuple(loss for loss, _, _ in steps))
+        if t % config.eval_every == 0 or t == config.iters:
+            history.append((t, evaluate_pair(*models, val)))
+    return TrainResult(*models, history, losses)
 
 
 def train_supervised(data: SynthDataset, config: SimConfig, seed: int | None = None) -> TrainResult:
-    """Labeled-only baseline sharing init and batch streams with train_cps."""
-    return _run(data, config, seed, cross_supervised=False)
+    """Labeled-only baseline: :func:`train_cps` with ``lam=0``, same init, batches and validation."""
+    return train_cps(data, replace(config, lam=0.0), seed)
 
 
 def ablate(

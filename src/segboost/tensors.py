@@ -82,11 +82,8 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     return out
 
 
-def argmax_labels(pred: np.ndarray) -> np.ndarray:
-    """Per-pixel argmax of a probability map; ties go to the lowest class index.
-
-    Raises :class:`ValidationError` if the map contains NaN.
-    """
+def _check_map(pred) -> np.ndarray:
+    """The map as an array, after checking it is (H, W, K) with no NaN."""
     pred = np.asarray(pred)
     if pred.ndim != 3 or pred.shape[2] < 1:
         raise ValidationError(f"probability map must be (H, W, K), got shape {pred.shape}")
@@ -94,7 +91,15 @@ def argmax_labels(pred: np.ndarray) -> np.ndarray:
     if nan.any():
         r, c, k = np.argwhere(nan)[0]
         raise ValidationError(f"NaN probability at pixel ({r}, {c}), class {k}")
-    return np.argmax(pred, axis=2).astype(np.uint16)
+    return pred
+
+
+def argmax_labels(pred: np.ndarray) -> np.ndarray:
+    """Per-pixel argmax of a probability map; ties go to the lowest class index.
+
+    Raises :class:`ValidationError` if the map contains NaN.
+    """
+    return np.argmax(_check_map(pred), axis=2).astype(np.uint16)
 
 
 def validate_probmap(pred: np.ndarray, normalized: bool = True) -> np.ndarray:
@@ -103,13 +108,7 @@ def validate_probmap(pred: np.ndarray, normalized: bool = True) -> np.ndarray:
     Values must sit in [0, 1]; with ``normalized`` the per-pixel class sums
     must fall within 1e-4 of 1.
     """
-    pred = np.asarray(pred)
-    if pred.ndim != 3 or pred.shape[2] < 1:
-        raise ValidationError(f"probability map must be (H, W, K), got shape {pred.shape}")
-    nan = np.isnan(pred)
-    if nan.any():
-        r, c, k = np.argwhere(nan)[0]
-        raise ValidationError(f"NaN probability at pixel ({r}, {c}), class {k}")
+    pred = _check_map(pred)
     if (pred < 0).any() or (pred > 1).any():
         r, c, k = np.argwhere((pred < 0) | (pred > 1))[0]
         raise ValidationError(
@@ -170,4 +169,7 @@ def read_tensor(data: bytes) -> np.ndarray:
             min(len(data), expected_end),
         )
     flat = np.frombuffer(data, dtype=dtype, count=count, offset=dims_end)
-    return flat.reshape(dims).copy()
+    try:  # an empty tensor can still name dims numpy cannot hold
+        return flat.reshape(dims).copy()
+    except ValueError as exc:
+        raise TensorFormatError(f"dims {dims} not representable: {exc}", 6) from None

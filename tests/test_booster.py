@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from segboost import (
     IGNORE_LABEL,
@@ -159,6 +162,28 @@ class TestBoost:
             boost(pred, VicinitySpec(3, 3), "blur")
         assert set(POLICIES) == {"ruv", "uniform", "none"}
 
+    @pytest.mark.parametrize("run", [boost, boost_report])
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_rejects_maps_that_are_not_probabilities(self, run, policy):
+        rows_off = np.full((4, 5, 3), 5.0 / 7.0)  # every row sums to 15/7
+        negative = _random_probmap(np.random.default_rng(32), 4, 5, 3)
+        negative[1, 2] = [-0.1, 0.6, 0.5]
+        nan = _random_probmap(np.random.default_rng(34), 4, 5, 3)
+        nan[3, 0, 1] = np.nan
+        for pred, match in ((rows_off, "class sum"), (negative, "outside"), (nan, "NaN")):
+            with pytest.raises(ValidationError, match=match):
+                run(pred, VicinitySpec(3, 3), policy)
+
+    @given(shape=st.one_of(st.tuples(st.just(1), st.integers(1, 16)),
+                           st.tuples(st.integers(1, 8), st.integers(1, 8))),
+           classes=st.integers(1, 5), size=st.sampled_from([1, 3, 5, 9]),
+           policy=st.sampled_from(POLICIES), data=st.data())
+    def test_clip_rows_sum_to_one(self, shape, classes, size, policy, data):
+        raw = data.draw(arrays(np.float64, shape + (classes,), elements=st.floats(1e-3, 1.0)))
+        pred = raw / raw.sum(axis=2, keepdims=True)
+        out = boost(pred, VicinitySpec(size, size, "clip"), policy)
+        np.testing.assert_allclose(out.data.sum(axis=2, dtype=np.float64), 1.0, rtol=0, atol=1e-6)
+
 
 class TestBoostReport:
     def test_fields_are_sane(self):
@@ -187,6 +212,8 @@ class TestBoostReport:
         ref = boost(pred, v, policy)
         assert rep.boosted.data.tobytes() == ref.data.tobytes()
         assert (rep.boosted.vicinity, rep.boosted.policy) == (v, policy)
+        assert rep.labels.dtype == np.uint16
+        assert rep.labels.tobytes() == argmax_labels(ref.data).tobytes()
 
 
 class TestMemory:

@@ -10,6 +10,7 @@ import segboost.booster
 from segboost import (
     IGNORE_LABEL,
     argmax_labels,
+    boost,
     boost_report,
     one_hot,
     read_tensor,
@@ -122,14 +123,32 @@ class TestBoostCommand:
     @pytest.mark.parametrize("harden", [[], ["--harden"]])
     def test_each_stage_runs_once(self, probmap, tmp_path, monkeypatch, harden):
         path, _ = probmap
-        calls = {"vote_integral": 0, "confidence": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(segboost.booster, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(segboost.booster, name, counted)
+        calls = {"vote_integral": 0, "confidence": 0, "argmax_labels": 0}
+        for module in (segboost.booster, segboost.cli):
+            for name in calls:
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
         assert run_cli("boost", str(path), "--out", str(tmp_path / "b.ten1"), *harden)[0] == 0
-        assert calls == {"vote_integral": 1, "confidence": 1}
+        # argmax runs on the input and on the boosted map, which --harden reuses
+        assert calls == {"vote_integral": 1, "confidence": 1, "argmax_labels": 2}
+
+    @pytest.mark.parametrize("policy", ["ruv", "uniform", "none"])
+    def test_harden_writes_the_argmax_of_the_boosted_map(self, probmap, tmp_path, policy):
+        path, pred = probmap
+        out = tmp_path / "hard.ten1"
+        run_cli("boost", str(path), "--out", str(out), "--harden", "--vicinity", "3", "--policy", policy)
+        want = argmax_labels(boost(pred, VicinitySpec(3, 3), policy).data)
+        assert out.read_bytes() == write_tensor(want)
+
+    def test_rejects_maps_that_are_not_probabilities(self, tmp_path):
+        src, out = tmp_path / "pred.ten1", tmp_path / "o.ten1"
+        src.write_bytes(write_tensor(np.full((4, 5, 3), 5.0 / 7.0, dtype=np.float32)))
+        for command in (["boost", str(src), "--out", str(out)], ["conf", str(src)]):
+            code, _, err = run_cli(*command)
+            assert code == 2
+            assert "class sum" in err
 
 
 class TestVoteAndConf:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from segboost import (
     IGNORE_LABEL,
@@ -106,3 +109,14 @@ class TestPgmBytes:
         labels[0, 0] = IGNORE_LABEL
         blob = write_pgm(labels_to_gray(labels, 5))
         np.testing.assert_array_equal(gray_to_labels(read_pgm(blob), 5), labels)
+
+
+class TestRoundTripProperty:
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 12)), classes=st.integers(1, 255),
+           data=st.data())
+    def test_labels_survive_the_pgm_file(self, shape, classes, data):
+        # below 256 classes white stays free, so void pixels round-trip too
+        values = st.one_of(st.integers(0, classes - 1), st.just(IGNORE_LABEL))
+        labels = data.draw(arrays(np.uint16, shape, elements=values))
+        blob = write_pgm(labels_to_gray(labels, classes))
+        assert gray_to_labels(read_pgm(blob), classes).tobytes() == labels.tobytes()

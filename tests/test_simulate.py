@@ -1,5 +1,6 @@
 """Synthetic data generation and the cross-supervision training loop."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from segboost import (
     train_cps,
     train_supervised,
 )
+import segboost.simulate
 from segboost.simulate import _box_mean
 
 
@@ -286,6 +288,45 @@ class TestTraining:
         data = generate_from_config(cfg, 9)
         res = train_cps(data, SimConfig(iters=200, images=8, labeled_fraction=0.25, val_images=4), seed=9)
         assert evaluate_pair(res.model_a, res.model_b, data) > 0.5
+
+    # SHA-256 of the per-iteration losses plus both models' final weight and
+    # bias bytes. Training is bitwise reproducible, so a refactor that moves
+    # any of these bits changes behaviour.
+    PINNED = {
+        "ruv": "994c5315502f856247855dc7ff16ec88f97ffae4e9b94a71684cf6770815c1b5",
+        "uniform": "9795332ed6e18836a69fabd524e0b7b3a0b0ce8093592d246564d586ad413018",
+        "none": "9f115b6ce5197f160073779de79ef5276eca512ff64fa9911ab543c143ee9166",
+        "harden": "6b4987d2fc656150241989b0d2d6f3b20b8ed1ad43b8bededb83503d80fb56d8",
+        "zero3": "49fda691efd11d6ef6391f9955b8e6d0a16981304c9d6e807f9de12dfb360390",
+        "supervised": "8722dc6b5f975a9417f432ace9cff12d9a2ed6b71b731a57575ac38551d11590",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_trajectory_bits_are_pinned(self, case):
+        cfg = SimConfig(iters=6, eval_every=3, images=8, labeled_fraction=0.25, val_images=4)
+        data = generate_from_config(cfg, 11)
+        variants = {
+            "uniform": replace(cfg, policy="uniform"),
+            "none": replace(cfg, policy="none"),
+            "harden": replace(cfg, harden=True),
+            "zero3": replace(cfg, vicinity=VicinitySpec(3, 3, "zero")),
+        }
+        train = train_supervised if case == "supervised" else train_cps
+        res = train(data, variants.get(case, cfg), seed=11)
+        digest = hashlib.sha256(np.array(res.losses).tobytes())
+        for model in (res.model_a, res.model_b):
+            digest.update(model.weights.tobytes())
+            digest.update(model.bias.tobytes())
+        assert digest.hexdigest() == self.PINNED[case]
+
+    def test_one_forward_per_model_per_iteration(self, monkeypatch):
+        calls = []
+        log_softmax = segboost.simulate._log_softmax
+        monkeypatch.setattr(segboost.simulate, "_log_softmax", lambda x: calls.append(x) or log_softmax(x))
+        cfg = _small_cfg(iters=1, batch=4, val_images=3)
+        train_cps(generate_from_config(cfg, 2), cfg, seed=2)
+        # labeled and unlabeled batch for each model, then two per validation image
+        assert len(calls) == 4 + 2 * cfg.val_images
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValidationError):

@@ -1,7 +1,11 @@
 """Label/probability map transforms and the TEN1 byte format."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from segboost import (
     IGNORE_LABEL,
@@ -183,3 +187,36 @@ class TestTen1Format:
         back = read_tensor(write_tensor(arr))
         back[0] = 9  # must not raise: buffer is writable, not a frozen view
         assert back[0] == 9
+
+
+def _read_or_format_error(blob: bytes) -> None:
+    """read_tensor must return an array or raise TensorFormatError, nothing else."""
+    try:
+        read_tensor(blob)
+    except TensorFormatError:
+        pass
+
+
+class TestTen1Properties:
+    @given(st.binary(max_size=64))
+    def test_random_bytes_raise_only_format_errors(self, blob):
+        _read_or_format_error(blob)
+
+    @given(code=st.integers(0, 255), ndim=st.integers(0, 4), tail=st.binary(max_size=48))
+    def test_random_body_after_magic_raises_only_format_errors(self, code, ndim, tail):
+        _read_or_format_error(b"TEN1" + bytes([code, ndim]) + tail)
+
+    @given(shape=st.lists(st.integers(0, 4), max_size=3), dtype=st.sampled_from(["<f4", "<u2", "u1"]),
+           data=st.data())
+    def test_truncations_of_valid_blobs_raise_only_format_errors(self, shape, dtype, data):
+        blob = write_tensor(np.zeros(shape, dtype=dtype))
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        with pytest.raises(TensorFormatError):
+            read_tensor(blob[:cut])
+
+    @given(dims=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3), zero_at=st.integers(0, 2))
+    def test_empty_tensors_with_huge_dims_raise_only_format_errors(self, dims, zero_at):
+        # one zero dim makes the payload empty, so only the dims can be wrong
+        dims[zero_at % len(dims)] = 0
+        blob = b"TEN1" + bytes([2, len(dims)]) + struct.pack(f"<{len(dims)}Q", *dims)
+        _read_or_format_error(blob)
