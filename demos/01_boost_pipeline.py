@@ -62,14 +62,15 @@ boosted = boost(pred, vicinity, "ruv")
 flipped = argmax_labels(boosted.data) != argmax_labels(pred)
 print(f"flipped pixels sit on the boundary: {bool(flipped[~edge].sum() == 0)}")
 
-# round-trip the boosted map through the binary tensor format
-out = Path(tempfile.mkdtemp())
-blob = write_tensor(boosted.data)
-(out / "boosted.ten1").write_bytes(blob)
-again = read_tensor((out / "boosted.ten1").read_bytes())
-print(f"tensor file round-trip bit-exact: {again.tobytes() == boosted.data.tobytes()}")
+# round-trip the boosted map through the binary tensor format, then render
+# the hardened labels as an 8-bit PGM; the directory goes away afterwards
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp)
+    blob = write_tensor(boosted.data)
+    (out / "boosted.ten1").write_bytes(blob)
+    again = read_tensor((out / "boosted.ten1").read_bytes())
+    print(f"tensor file round-trip bit-exact: {again.tobytes() == boosted.data.tobytes()}")
 
-# and render the hardened labels as an 8-bit PGM
-gray = labels_to_gray(argmax_labels(boosted.data), 3)
-(out / "boosted.pgm").write_bytes(write_pgm(gray))
-print(f"wrote {out / 'boosted.pgm'} ({len(write_pgm(gray))} bytes)")
+    gray = labels_to_gray(argmax_labels(boosted.data), 3)
+    (out / "boosted.pgm").write_bytes(write_pgm(gray))
+    print(f"wrote {out / 'boosted.pgm'} ({len(write_pgm(gray))} bytes)")

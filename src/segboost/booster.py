@@ -21,6 +21,11 @@ every entry stays inside the [min, max] envelope of its two sources. It
 never builds a float64 one-hot: it scales the votes by ``1 - W`` and adds
 ``W`` at the set one-hot entries, which for weights in [0, 1] and
 non-negative votes gives the same bits as the formula above.
+
+One internal pipeline serves :func:`boost`, :func:`boost_report` and the
+simulator: it boosts an ``(N, H, W, K)`` stack of maps, and the public
+functions pass their single map as a stack of one. Every image of a
+stack gets the bytes a call of its own would give.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import adaptive_weights, confidence
-from .tensors import ValidationError, argmax_labels, one_hot, validate_probmap
+from .confidence import _image_weights, _neg_entropy
+from .tensors import ValidationError, _argmax, _check_shape, one_hot, validate_probmap
 from .voting import VicinitySpec, vote_integral, vote_uniform
 
 POLICIES = ("ruv", "uniform", "none")
@@ -88,27 +93,39 @@ def blend(p_oh: np.ndarray, votes: np.ndarray, weights: np.ndarray) -> np.ndarra
     return mixed.astype(np.float32)
 
 
-def _run(pred, vicinity: VicinitySpec, policy: str, report: bool):
-    """Each stage once: ``(labels, boosted, confidence, weights, votes)``.
+def _run(stack, vicinity: VicinitySpec, policy: str, report: bool):
+    """Boost an ``(N, H, W, K)`` stack, each stage once for all its images.
 
-    Under ``none`` the votes are the one-hot label, and confidence and
-    weights are ``None`` unless ``report`` asks for them.
+    Returns ``(labels, boosted, confidence, weights, votes)``, each in the
+    tall ``(N*H, W, ...)`` layout, so for one image the ``(H, W, ...)``
+    shapes. The pixel-wise stages run on the tall view. Votes come from one
+    window-sum pass over the stack laid out as ``(H, W, N*K)`` channels;
+    window sums never mix channels, so no image bleeds into another. The
+    min-max weights are per image. Under ``none`` the votes are the one-hot
+    label, and confidence and weights are ``None`` unless ``report`` asks
+    for them.
     """
     if policy not in POLICIES:
         raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
-    pred = validate_probmap(pred)
-    labels = argmax_labels(pred)
-    p_oh = one_hot(labels, pred.shape[2])
+    n, h, w, k = stack.shape
+    # One check for NaN, range and row sums; the kernels below skip it.
+    pred = validate_probmap(stack.reshape(n * h, w, k))
+    labels = _argmax(pred)
+    p_oh = one_hot(labels, k)
     conf = weights = None
     if policy == "none":
         votes = p_oh.astype(np.float32)
+    elif policy == "uniform":
+        votes = vote_uniform(p_oh)
     else:
-        votes = vote_integral(p_oh, vicinity) if policy == "ruv" else vote_uniform(p_oh)
+        channels = p_oh.reshape(n, h, w, k).transpose(1, 2, 0, 3).reshape(h, w, n * k)
+        votes = vote_integral(channels, vicinity).reshape(h, w, n, k)
+        votes = votes.transpose(2, 0, 1, 3).reshape(n * h, w, k)
     if policy != "none" or report:
-        conf = confidence(pred)
-        weights = adaptive_weights(conf)
+        conf = _neg_entropy(pred)
+        weights = _image_weights(conf.reshape(n, h, w)).reshape(n * h, w)
     data = votes if policy == "none" else blend(p_oh, votes, weights)
-    return labels, BoostedLabel(data, vicinity, policy), conf, weights, votes
+    return labels, data, conf, weights, votes
 
 
 def boost(
@@ -132,7 +149,8 @@ def boost(
     label and the vote distribution (under border mode ``clip`` they sum
     to 1).
     """
-    return _run(pred, vicinity, policy, report=False)[1]
+    data = _run(_check_shape(pred)[None], vicinity, policy, report=False)[1]
+    return BoostedLabel(data, vicinity, policy)
 
 
 def boost_report(
@@ -141,13 +159,13 @@ def boost_report(
     policy: str = "ruv",
 ) -> BoostReport:
     """Boost a map once and summarize it; ``boosted`` is the label, ``labels`` its argmax."""
-    before, boosted, conf, weights, votes = _run(pred, vicinity, policy, report=True)
-    after = argmax_labels(boosted.data)
+    before, data, conf, weights, votes = _run(_check_shape(pred)[None], vicinity, policy, report=True)
+    after = _argmax(data)
     return BoostReport(
         changed_fraction=float(np.mean(before != after)),
         mean_weight=float(weights.mean(dtype=np.float64)),
         mean_confidence=float(conf.mean()),
         class_vote_mass=votes.mean(axis=(0, 1), dtype=np.float64),
-        boosted=boosted,
+        boosted=BoostedLabel(data, vicinity, policy),
         labels=after,
     )

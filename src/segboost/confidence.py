@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import ValidationError
+from .tensors import ValidationError, _over_classes
 
 
 def confidence(pred: np.ndarray) -> np.ndarray:
@@ -36,13 +36,18 @@ def confidence(pred: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"negative probability {pred[r, c, k]!r} at pixel ({r}, {c}), class {k}"
         )
+    return _neg_entropy(pred)
+
+
+def _neg_entropy(pred: np.ndarray) -> np.ndarray:
+    """The confidence kernel over the last axis, for a map already checked."""
     # Both ufuncs compute in float64 straight from ``pred`` and touch only
     # positive entries, so zeros (and anything else not > 0) add exactly 0.
     positive = pred > 0.0
     terms = np.zeros(pred.shape)
     np.log(pred, out=terms, where=positive, dtype=np.float64)
     np.multiply(terms, pred, out=terms, where=positive, dtype=np.float64)
-    return terms.sum(axis=2)
+    return _over_classes(np.add, terms)
 
 
 def adaptive_weights(conf: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
@@ -71,11 +76,28 @@ def adaptive_weights(conf: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     scoped = conf if mask is None else conf[np.asarray(mask, dtype=bool)]
     if scoped.size == 0:
         raise ValidationError("confidence mask selects no pixels")
-    lo = scoped.min()
-    hi = scoped.max()
-    if hi == lo:
-        return np.ones(conf.shape, dtype=np.float32)
-    w = (conf - lo) / (hi - lo)
+    w = _rescale(conf, scoped.min(), scoped.max())
     if mask is not None:
         np.clip(w, 0.0, 1.0, out=w)
     return w.astype(np.float32)
+
+
+def _rescale(conf: np.ndarray, lo, hi) -> np.ndarray:
+    """``(conf - lo) / (hi - lo)`` in float64, and 1 wherever ``hi == lo``.
+
+    ``lo`` and ``hi`` are scalars or broadcast against ``conf``, e.g. the
+    per-image extremes of an ``(N, H, W)`` stack kept with ``keepdims``.
+    """
+    span = hi - lo  # finite, so 0 exactly when hi == lo
+    w = np.ones(conf.shape)
+    np.divide(conf - lo, span, out=w, where=span != 0)
+    return w
+
+
+def _image_weights(planes: np.ndarray) -> np.ndarray:
+    """:func:`adaptive_weights` of each finite plane of an ``(N, H, W)`` stack, as float32."""
+    if planes.size == 0:
+        raise ValidationError("confidence mask selects no pixels")
+    lo = planes.min(axis=(1, 2), keepdims=True)
+    hi = planes.max(axis=(1, 2), keepdims=True)
+    return _rescale(planes, lo, hi).astype(np.float32)

@@ -30,9 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .booster import boost
+from .booster import _run
 from .metrics import ConfusionMatrix
-from .tensors import ValidationError, argmax_labels, one_hot
+from .tensors import ValidationError, _over_classes, argmax_labels, one_hot
 from .voting import VicinitySpec, _window_sums
 
 CSV_HEADER = "policy,vicinity,seed,iter,miou"
@@ -217,8 +217,8 @@ def generate_from_config(config: SimConfig, seed: int) -> SynthDataset:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = logits - _over_classes(np.maximum, logits)[..., None]
+    return z - np.log(_over_classes(np.add, np.exp(z)))[..., None]
 
 
 def _check_finite(*models: LinearModel) -> None:
@@ -238,7 +238,7 @@ def forward(model: LinearModel, features: np.ndarray) -> np.ndarray:
 
 
 def _soft_ce(logp: np.ndarray, features: np.ndarray, targets: np.ndarray):
-    loss = -float(np.mean((targets * logp).sum(axis=1)))
+    loss = -float(np.mean(_over_classes(np.add, targets * logp)))
     d = (np.exp(logp) - targets) / targets.shape[0]
     return loss, d.T @ features, d.sum(axis=0)
 
@@ -289,15 +289,16 @@ def _flat(data: SynthDataset, image_indices: np.ndarray):
 
 
 def _pseudo_targets(probs: np.ndarray, config: SimConfig) -> np.ndarray:
-    """Boosted soft targets, one ``(H*W, K)`` block per image of ``(N, H, W, K)`` probabilities."""
+    """Boosted soft targets of ``(N, H, W, K)`` probabilities as ``(N*H*W, K)`` rows.
+
+    One boost pass covers the whole stack, with the bytes of a ``boost``
+    call per image; ``harden`` takes the argmax of the stack once.
+    """
     k = probs.shape[-1]
-    targets = []
-    for pred in probs:
-        soft = boost(pred, config.vicinity, config.policy).data
-        if config.harden:
-            soft = one_hot(argmax_labels(soft), k).astype(np.float32)
-        targets.append(soft.reshape(-1, k))
-    return np.concatenate(targets, axis=0).astype(np.float64)
+    soft = _run(probs, config.vicinity, config.policy, report=False)[1]
+    if config.harden:
+        soft = one_hot(argmax_labels(soft), k)
+    return soft.reshape(-1, k).astype(np.float64)
 
 
 def train_cps(data: SynthDataset, config: SimConfig, seed: int | None = None) -> TrainResult:
@@ -305,8 +306,11 @@ def train_cps(data: SynthDataset, config: SimConfig, seed: int | None = None) ->
 
     Each iteration, each model steps on its hard CE over a labeled batch
     plus ``lam`` times its soft CE against the peer's boosted pseudo labels
-    on an unlabeled batch, both from the pre-update parameters. ``seed``
-    drives initialization and batch sampling (default: the dataset's seed).
+    on an unlabeled batch, both from the pre-update parameters. Each
+    model's pseudo labels take one boost pass over the unlabeled batch as
+    an ``(N, H, W, K)`` stack, with the bytes of one ``boost`` call per
+    image. ``seed`` drives initialization and batch sampling (default: the
+    dataset's seed).
     Validation uses ``val_images`` images generated from ``data.seed + 1``.
     Raises :class:`TrainingDiverged` on a non-finite loss.
     """

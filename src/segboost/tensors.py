@@ -68,25 +68,47 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
         raise ValidationError(f"label map must be 2-D, got shape {labels.shape}")
     if not (1 <= classes < IGNORE_LABEL):
         raise ValidationError(f"class count must be in [1, {IGNORE_LABEL}), got {classes}")
-    valid = labels != IGNORE_LABEL
-    bad = valid & (labels >= classes)
+    bad = (labels != IGNORE_LABEL) & (labels >= classes)
     if labels.dtype.kind == "i":  # only signed maps can hold a negative label
         bad |= labels < 0
     if bad.any():
         r, c = np.argwhere(bad)[0]
         raise LabelRangeError(int(r), int(c), int(labels[r, c]), classes)
-    h, w = labels.shape
-    out = np.zeros((h, w, classes), dtype=np.uint8)
-    rows, cols = np.nonzero(valid)
-    out[rows, cols, labels[rows, cols].astype(np.intp)] = 1
+    # Every label is now a class index or void, which matches no class.
+    return (labels[:, :, None] == np.arange(classes)).view(np.uint8)
+
+
+def _over_classes(op, x: np.ndarray, dtype=None) -> np.ndarray:
+    """``op.reduce(x, axis=-1)`` of a float array, for ``np.maximum`` or ``np.add``, with the same bits.
+
+    The class axis is short, and reducing over it costs numpy a loop per
+    row, so this runs K operations on whole columns instead. A running
+    maximum is exact in any order. numpy adds fewer than 8 elements in
+    order, starting from +0.0; 8 or more it sums pairwise, so those keep
+    ``sum``. ``dtype`` is the accumulator, as in ``sum``.
+    """
+    k = x.shape[-1]
+    if op is np.add and k >= 8:
+        return x.sum(axis=-1, dtype=dtype)
+    out = x[..., 0].astype(dtype or x.dtype)
+    if op is np.add:
+        out += 0.0  # turns a -0.0 first column into +0.0, as numpy's start does
+    for j in range(1, k):
+        op(out, x[..., j], out=out)
     return out
+
+
+def _check_shape(pred) -> np.ndarray:
+    """The map as an array, after checking it is (H, W, K)."""
+    pred = np.asarray(pred)
+    if pred.ndim != 3 or pred.shape[2] < 1:
+        raise ValidationError(f"probability map must be (H, W, K), got shape {pred.shape}")
+    return pred
 
 
 def _check_map(pred) -> np.ndarray:
     """The map as an array, after checking it is (H, W, K) with no NaN."""
-    pred = np.asarray(pred)
-    if pred.ndim != 3 or pred.shape[2] < 1:
-        raise ValidationError(f"probability map must be (H, W, K), got shape {pred.shape}")
+    pred = _check_shape(pred)
     nan = np.isnan(pred)
     if nan.any():
         r, c, k = np.argwhere(nan)[0]
@@ -99,7 +121,12 @@ def argmax_labels(pred: np.ndarray) -> np.ndarray:
 
     Raises :class:`ValidationError` if the map contains NaN.
     """
-    return np.argmax(_check_map(pred), axis=2).astype(np.uint16)
+    return _argmax(_check_map(pred))
+
+
+def _argmax(pred: np.ndarray) -> np.ndarray:
+    """The argmax kernel, for a map already checked for NaN."""
+    return np.argmax(pred, axis=-1).astype(np.uint16)
 
 
 def validate_probmap(pred: np.ndarray, normalized: bool = True) -> np.ndarray:
@@ -115,7 +142,7 @@ def validate_probmap(pred: np.ndarray, normalized: bool = True) -> np.ndarray:
             f"probability {pred[r, c, k]!r} at pixel ({r}, {c}), class {k} outside [0, 1]"
         )
     if normalized:
-        sums = pred.sum(axis=2, dtype=np.float64)
+        sums = _over_classes(np.add, pred, np.float64)
         off = np.abs(sums - 1.0) > 1e-4
         if off.any():
             r, c = np.argwhere(off)[0]

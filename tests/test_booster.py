@@ -23,6 +23,7 @@ from segboost import (
     vote_integral,
     vote_uniform,
 )
+from segboost.booster import _run
 
 
 def _random_probmap(rng, h, w, k):
@@ -214,6 +215,60 @@ class TestBoostReport:
         assert (rep.boosted.vicinity, rep.boosted.policy) == (v, policy)
         assert rep.labels.dtype == np.uint16
         assert rep.labels.tobytes() == argmax_labels(ref.data).tobytes()
+
+
+def _stack(rng, h, w, k):
+    """Four maps: random, constant confidence (all weights 1), exact zeros, near-uniform."""
+    random = _random_probmap(rng, h, w, k)
+    constant = np.zeros((h, w, k), dtype=np.float32)
+    constant[:, : w // 2, 0] = 1.0
+    constant[:, w // 2:, k - 1] = 1.0
+    zeros = rng.random((h, w, k))
+    zeros[rng.random((h, w, k)) < 0.4] = 0.0
+    zeros[:, :, 1] += 1e-3  # keeps every row non-zero
+    zeros = (zeros / zeros.sum(axis=2, keepdims=True)).astype(np.float32)
+    flat = np.full((h, w, k), 1.0 / k) + rng.uniform(-1e-3, 1e-3, (h, w, k))
+    flat /= flat.sum(axis=2, keepdims=True)
+    return np.stack([random, constant, zeros, flat.astype(np.float32)])
+
+
+class TestStackedRun:
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("border", ["clip", "zero"])
+    @pytest.mark.parametrize("window", [(3, 3), (5, 1), (1, 1), (33, 13)])  # 33 x 13 is wider than 7 x 9
+    def test_same_bytes_as_one_call_per_image(self, policy, border, window):
+        stack = _stack(np.random.default_rng(50), 7, 9, 4)
+        n, h, w, k = stack.shape
+        v = VicinitySpec(*window, border)
+        labels, data, conf, weights, votes = _run(stack, v, policy, report=True)
+        assert data.shape == votes.shape == (n * h, w, k) and labels.shape == conf.shape == (n * h, w)
+        for i, pred in enumerate(stack):
+            rows = slice(i * h, (i + 1) * h)
+            rep = boost_report(pred, v, policy)
+            assert data[rows].tobytes() == boost(pred, v, policy).data.tobytes()
+            assert data[rows].tobytes() == rep.boosted.data.tobytes()
+            assert labels[rows].tobytes() == argmax_labels(pred).tobytes()
+            assert argmax_labels(data[rows]).tobytes() == rep.labels.tobytes()
+            assert conf[rows].tobytes() == confidence(pred).tobytes()
+            assert weights[rows].tobytes() == adaptive_weights(confidence(pred)).tobytes()
+            assert (weights[rows] == 1.0).all() == (i == 1)
+            p_oh = one_hot(argmax_labels(pred), k)
+            want_votes = {"ruv": lambda: vote_integral(p_oh, v), "uniform": lambda: vote_uniform(p_oh),
+                          "none": lambda: p_oh.astype(np.float32)}[policy]()
+            assert votes[rows].tobytes() == want_votes.tobytes()
+            assert rep.class_vote_mass.tobytes() == votes[rows].mean(axis=(0, 1), dtype=np.float64).tobytes()
+            assert rep.mean_weight == float(weights[rows].mean(dtype=np.float64))
+            assert rep.mean_confidence == float(conf[rows].mean())
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_bad_last_image_is_rejected(self, policy):
+        stack = _stack(np.random.default_rng(52), 5, 6, 3)
+        nan, row = stack.copy(), stack.copy()
+        nan[-1, 4, 5, 2] = np.nan
+        row[-1, 2, 3] = [0.5, 0.5, 0.5]
+        for bad, match in ((nan, "NaN"), (row, "class sum")):
+            with pytest.raises(ValidationError, match=match):
+                _run(bad, VicinitySpec(3, 3), policy, report=False)
 
 
 class TestMemory:

@@ -123,16 +123,25 @@ class TestBoostCommand:
     @pytest.mark.parametrize("harden", [[], ["--harden"]])
     def test_each_stage_runs_once(self, probmap, tmp_path, monkeypatch, harden):
         path, _ = probmap
-        calls = {"vote_integral": 0, "confidence": 0, "argmax_labels": 0}
-        for module in (segboost.booster, segboost.cli):
-            for name in calls:
-                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
-                    calls[_name] += 1
+        # stage -> the function each module calls for it; the booster runs the
+        # private kernels once validate_probmap has checked its input
+        stages = {
+            "validate": {"booster": "validate_probmap", "cli": "validate_probmap"},
+            "vote": {"booster": "vote_integral", "cli": "vote_integral"},
+            "confidence": {"booster": "_neg_entropy", "cli": "confidence"},
+            "argmax": {"booster": "_argmax", "cli": "argmax_labels"},
+        }
+        calls = dict.fromkeys(stages, 0)
+        for stage, names in stages.items():
+            for module_name, name in names.items():
+                module = getattr(segboost, module_name)
+                def counted(*args, _fn=getattr(module, name), _stage=stage, **kwargs):
+                    calls[_stage] += 1
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(module, name, counted)
         assert run_cli("boost", str(path), "--out", str(tmp_path / "b.ten1"), *harden)[0] == 0
         # argmax runs on the input and on the boosted map, which --harden reuses
-        assert calls == {"vote_integral": 1, "confidence": 1, "argmax_labels": 2}
+        assert calls == {"validate": 1, "vote": 1, "confidence": 1, "argmax": 2}
 
     @pytest.mark.parametrize("policy", ["ruv", "uniform", "none"])
     def test_harden_writes_the_argmax_of_the_boosted_map(self, probmap, tmp_path, policy):

@@ -19,10 +19,13 @@ ROOT = Path(__file__).resolve().parents[1]
     "demo", ["01_boost_pipeline.py", "02_regional_votes.py", "04_generalization_bounds.py"]
 )
 def test_demo_exits_zero(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(temp))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+    assert not any(temp.iterdir()), "the demo left files in the temp directory"

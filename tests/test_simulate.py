@@ -17,18 +17,22 @@ from segboost import (
     ValidationError,
     VicinitySpec,
     ablate,
+    argmax_labels,
+    boost,
     cross_entropy_and_grad,
     cross_entropy_hard,
     evaluate_pair,
     forward,
     generate,
     generate_from_config,
+    one_hot,
     rows_to_csv,
     train_cps,
     train_supervised,
 )
 import segboost.simulate
-from segboost.simulate import _box_mean
+from segboost.simulate import _box_mean, _log_softmax, _pseudo_targets, _soft_ce
+from segboost.tensors import _over_classes
 
 
 def _small_cfg(**kw):
@@ -328,6 +332,34 @@ class TestTraining:
         # labeled and unlabeled batch for each model, then two per validation image
         assert len(calls) == 4 + 2 * cfg.val_images
 
+    def test_one_boost_pass_per_model_per_iteration(self, monkeypatch):
+        calls = []
+        run = segboost.simulate._run
+        monkeypatch.setattr(segboost.simulate, "_run", lambda *a, **kw: calls.append(a[0].shape) or run(*a, **kw))
+        cfg = _small_cfg(iters=3, batch=4)
+        train_cps(generate_from_config(cfg, 2), cfg, seed=2)
+        assert calls == [(4, cfg.height, cfg.width, cfg.classes)] * 6
+        calls.clear()
+        train_cps(generate_from_config(cfg, 2), replace(cfg, lam=0.0), seed=2)
+        assert calls == []
+
+    @pytest.mark.parametrize("policy", ["ruv", "uniform", "none"])
+    @pytest.mark.parametrize("harden", [False, True])
+    @pytest.mark.parametrize("vicinity", [VicinitySpec(3, 3, "zero"), VicinitySpec(41, 41, "clip")])
+    def test_pseudo_targets_are_one_boost_call_per_image(self, policy, harden, vicinity):
+        rng = np.random.default_rng(21)
+        logits = rng.normal(scale=3.0, size=(5, 6, 8, 3))
+        probs = np.exp(_log_softmax(logits))
+        cfg = _small_cfg(policy=policy, harden=harden, vicinity=vicinity)
+        want = []
+        for pred in probs:
+            soft = boost(pred, vicinity, policy).data
+            if harden:
+                soft = one_hot(argmax_labels(soft), 3).astype(np.float32)
+            want.append(soft.reshape(-1, 3))
+        want = np.concatenate(want).astype(np.float64)
+        assert _pseudo_targets(probs, cfg).tobytes() == want.tobytes()
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValidationError):
             SimConfig(lam=-1.0)
@@ -364,3 +396,43 @@ class TestAblate:
         assert lines[1] == "ruv,5,0,200,0.934568"
         assert lines[2] == "none,0,1,200,1.000000"
         assert text.endswith("\n")
+
+
+class TestClassAxisReductions:
+    """Column-wise class reductions give the bytes of numpy's axis reductions."""
+
+    @staticmethod
+    def _wide_range(rng, k):
+        x = rng.standard_normal((4096, k)) * 10.0 ** rng.integers(-6, 6, (4096, k))
+        x[rng.random((4096, k)) < 0.05] = -0.0
+        x[:7, :] = -0.0  # rows of signed zeros only
+        return x
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_over_classes_matches_axis_reductions(self, k):
+        x = self._wide_range(np.random.default_rng(k), k)
+        assert _over_classes(np.add, x).tobytes() == x.sum(axis=-1).tobytes()
+        assert _over_classes(np.maximum, x).tobytes() == x.max(axis=-1).tobytes()
+        x32 = x.astype(np.float32)
+        assert _over_classes(np.add, x32, np.float64).tobytes() == x32.sum(axis=-1, dtype=np.float64).tobytes()
+        cube = x.reshape(64, 64, k)
+        assert _over_classes(np.add, cube).tobytes() == cube.sum(axis=-1).tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_log_softmax_and_soft_ce_match_axis_formulas(self, k):
+        rng = np.random.default_rng(100 + k)
+        logits = rng.normal(scale=4.0, size=(4096, k))
+        z = logits - logits.max(axis=-1, keepdims=True)
+        want = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        logp = _log_softmax(logits)
+        assert logp.tobytes() == want.tobytes()
+        assert _log_softmax(logits.reshape(64, 64, k)).tobytes() == want.tobytes()
+        raw = rng.random((4096, k))
+        raw[rng.random((4096, k)) < 0.3] = 0.0
+        targets = raw / np.maximum(raw.sum(axis=1, keepdims=True), 1e-12)
+        features = rng.normal(size=(4096, 6))
+        loss, grad_w, grad_b = _soft_ce(logp, features, targets)
+        assert repr(loss) == repr(-float(np.mean((targets * logp).sum(axis=1))))
+        d = (np.exp(logp) - targets) / targets.shape[0]
+        assert grad_w.tobytes() == (d.T @ features).tobytes()
+        assert grad_b.tobytes() == d.sum(axis=0).tobytes()

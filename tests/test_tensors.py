@@ -72,6 +72,19 @@ class TestOneHot:
             oh = one_hot(labels, int(k))
             np.testing.assert_array_equal(argmax_labels(oh.astype(np.float32)), labels)
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64, np.uint32])
+    def test_matches_index_assignment_with_voids(self, dtype):
+        rng = np.random.default_rng(5)
+        for classes in (1, 3, 19, 300):
+            labels = rng.integers(0, classes, size=(9, 13))
+            labels[rng.random((9, 13)) < 0.2] = IGNORE_LABEL
+            want = np.zeros((9, 13, classes), dtype=np.uint8)
+            rows, cols = np.nonzero(labels != IGNORE_LABEL)
+            want[rows, cols, labels[rows, cols]] = 1
+            got = one_hot(labels.astype(dtype), classes)
+            assert got.dtype == np.uint8 and got.flags.c_contiguous and got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
 
 class TestArgmaxLabels:
     def test_ties_take_lowest_index(self):
