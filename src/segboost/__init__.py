@@ -41,7 +41,6 @@ from .simulate import (
     TrainResult,
     ablate,
     cross_entropy_and_grad,
-    cross_entropy_hard,
     evaluate_pair,
     forward,
     generate,
@@ -65,8 +64,6 @@ from .voting import (
     BORDER_MODES,
     OpCounter,
     VicinitySpec,
-    vote_counts_integral,
-    vote_counts_naive,
     vote_integral,
     vote_naive,
     vote_uniform,
@@ -103,8 +100,6 @@ __all__ = [
     "vote_naive",
     "vote_integral",
     "vote_uniform",
-    "vote_counts_naive",
-    "vote_counts_integral",
     "confidence",
     "adaptive_weights",
     "blend",
@@ -122,7 +117,6 @@ __all__ = [
     "generate_from_config",
     "forward",
     "cross_entropy_and_grad",
-    "cross_entropy_hard",
     "evaluate_pair",
     "train_cps",
     "train_supervised",

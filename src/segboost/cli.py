@@ -32,7 +32,7 @@ from .bounds import (
     gap_bound,
     kl_gaussian_product,
 )
-from .confidence import adaptive_weights, confidence
+from .confidence import _image_weights, _neg_entropy
 from .metrics import ConfusionMatrix
 from .pgm import labels_to_gray, write_pgm
 from .simulate import SimConfig, TrainingDiverged, ablate, rows_to_csv
@@ -127,9 +127,10 @@ def _cmd_boost(args) -> int:
 
 
 def _cmd_conf(args) -> int:
+    # One input check, then the kernels that skip it, as in booster._run.
     pred = validate_probmap(_load_probmap(args.input))
-    conf = confidence(pred)
-    weights = adaptive_weights(conf)
+    conf = _neg_entropy(pred)
+    weights = _image_weights(conf[None])[0]
     if args.out:
         _write_file(args.out, conf.astype(np.float32))
     lines = [

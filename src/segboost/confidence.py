@@ -50,7 +50,7 @@ def _neg_entropy(pred: np.ndarray) -> np.ndarray:
     return _over_classes(np.add, terms)
 
 
-def adaptive_weights(conf: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def adaptive_weights(conf: np.ndarray) -> np.ndarray:
     """Min-max normalize a confidence plane into per-pixel blend weights.
 
     ``W = (conf - min conf) / (max conf - min conf)`` over the image; on a
@@ -59,9 +59,7 @@ def adaptive_weights(conf: np.ndarray, mask: np.ndarray | None = None) -> np.nda
 
     Parameters
     ----------
-    conf : (H, W) float plane, finite
-    mask : optional (H, W) bool plane restricting the min/max scan (e.g. to
-        non-void pixels); weights outside the mask are clipped to [0, 1]
+    conf : (H, W) float plane, finite, with at least one pixel
 
     Returns
     -------
@@ -73,31 +71,19 @@ def adaptive_weights(conf: np.ndarray, mask: np.ndarray | None = None) -> np.nda
     if not np.isfinite(conf).all():
         r, c = np.argwhere(~np.isfinite(conf))[0]
         raise ValidationError(f"non-finite confidence {conf[r, c]!r} at pixel ({r}, {c})")
-    scoped = conf if mask is None else conf[np.asarray(mask, dtype=bool)]
-    if scoped.size == 0:
-        raise ValidationError("confidence mask selects no pixels")
-    w = _rescale(conf, scoped.min(), scoped.max())
-    if mask is not None:
-        np.clip(w, 0.0, 1.0, out=w)
-    return w.astype(np.float32)
-
-
-def _rescale(conf: np.ndarray, lo, hi) -> np.ndarray:
-    """``(conf - lo) / (hi - lo)`` in float64, and 1 wherever ``hi == lo``.
-
-    ``lo`` and ``hi`` are scalars or broadcast against ``conf``, e.g. the
-    per-image extremes of an ``(N, H, W)`` stack kept with ``keepdims``.
-    """
-    span = hi - lo  # finite, so 0 exactly when hi == lo
-    w = np.ones(conf.shape)
-    np.divide(conf - lo, span, out=w, where=span != 0)
-    return w
+    return _image_weights(conf[None])[0]
 
 
 def _image_weights(planes: np.ndarray) -> np.ndarray:
-    """:func:`adaptive_weights` of each finite plane of an ``(N, H, W)`` stack, as float32."""
+    """:func:`adaptive_weights` of each finite plane of an ``(N, H, W)`` stack, as float32.
+
+    ``(conf - min) / (max - min)`` per plane in float64, and 1 on a plane
+    whose extremes are equal.
+    """
     if planes.size == 0:
         raise ValidationError("confidence mask selects no pixels")
     lo = planes.min(axis=(1, 2), keepdims=True)
-    hi = planes.max(axis=(1, 2), keepdims=True)
-    return _rescale(planes, lo, hi).astype(np.float32)
+    span = planes.max(axis=(1, 2), keepdims=True) - lo  # finite, so 0 exactly when max == min
+    w = np.ones(planes.shape)
+    np.divide(planes - lo, span, out=w, where=span != 0)
+    return w.astype(np.float32)

@@ -9,7 +9,8 @@ from the other's (optionally uncertainty-boosted) pseudo labels,
 and symmetrically for the second model. The point is not to rival a real
 segmentation network but to compare booster policies (none / uniform /
 regional) under identical conditions in seconds, with bitwise-reproducible
-trajectories.
+trajectories. The model math is two kernels, ``_logp`` and ``_soft_ce``;
+the labeled term is the soft CE against float64 one-hot rows of the truth.
 
 Synthetic images are built from per-class Gaussian blob score fields
 (labels = per-pixel argmax) rendered through a per-dataset class palette
@@ -25,15 +26,17 @@ histories down to the bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
-from .booster import _run
+from .booster import POLICIES, _run
 from .metrics import ConfusionMatrix
 from .tensors import ValidationError, _over_classes, argmax_labels, one_hot
-from .voting import VicinitySpec, _window_sums
+from .voting import VicinitySpec, _is_int, _window_sums
 
 CSV_HEADER = "policy,vicinity,seed,iter,miou"
 
@@ -106,10 +109,30 @@ class SimConfig:
     val_images: int = 8
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValidationError(f"lambda must be >= 0, got {self.lam}")
-        if self.iters < 1:
-            raise ValidationError(f"iteration count must be >= 1, got {self.iters}")
+        def real(v) -> bool:
+            return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+        checks = [
+            ("lam", real(self.lam) and self.lam >= 0, "a finite number >= 0"),
+            ("lr", real(self.lr) and self.lr > 0, "a finite number > 0"),
+            ("momentum", real(self.momentum) and 0 <= self.momentum < 1, "a number in [0, 1)"),
+            ("weight_decay", real(self.weight_decay) and self.weight_decay >= 0, "a finite number >= 0"),
+            ("labeled_fraction", real(self.labeled_fraction) and 0 < self.labeled_fraction < 1,
+             "a number in (0, 1)"),
+            ("noise", real(self.noise) and self.noise >= 0, "a finite number >= 0"),
+            ("vicinity", isinstance(self.vicinity, VicinitySpec), "a VicinitySpec"),
+            ("policy", isinstance(self.policy, str) and self.policy in POLICIES, f"one of {POLICIES}"),
+            ("seeds", isinstance(self.seeds, tuple) and len(self.seeds) > 0
+             and all(_is_int(s) and s >= 0 for s in self.seeds), "a non-empty tuple of integers >= 0"),
+            ("harden", isinstance(self.harden, bool), "a bool"),
+        ]
+        for name, low in (("iters", 1), ("batch", 1), ("eval_every", 1), ("images", 2),
+                          ("height", 1), ("width", 1), ("classes", 2), ("val_images", 1)):
+            value = getattr(self, name)
+            checks.append((name, _is_int(value) and value >= low, f"an integer >= {low}"))
+        for name, ok, rule in checks:
+            if not ok:
+                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -140,12 +163,24 @@ def generate(
     Each image draws one Gaussian blob score field per class; the label is
     the per-pixel argmax, giving smooth connected regions. Intensities come
     from a per-dataset class palette (two channels) plus Gaussian noise.
+    The labeled/unlabeled split is drawn after the images.
     """
     if classes < 2:
         raise ValidationError(f"need at least 2 classes, got {classes}")
     if count < 2:
         raise ValidationError(f"need at least 2 images, got {count}")
     rng = np.random.default_rng(seed)
+    data = _synthesize(rng, count, height, width, classes, noise, seed)
+    perm = rng.permutation(count)
+    n_labeled = max(1, round(labeled_fraction * count))
+    if n_labeled >= count:
+        raise ValidationError("labeled fraction leaves no unlabeled images")
+    data.labeled_idx, data.unlabeled_idx = np.sort(perm[:n_labeled]), np.sort(perm[n_labeled:])
+    return data
+
+
+def _synthesize(rng, count: int, height: int, width: int, classes: int, noise: float, seed: int) -> SynthDataset:
+    """``count`` synthetic images drawn from ``rng``, every one of them labeled."""
     # Class colors sit on a fixed circle in the 2-channel intensity plane,
     # independent of the seed, so color -> class transfers across datasets
     # (training and held-out validation use different seeds).
@@ -190,18 +225,8 @@ def generate(
             ],
             axis=-1,
         )
-    perm = rng.permutation(count)
-    n_labeled = max(1, round(labeled_fraction * count))
-    if n_labeled >= count:
-        raise ValidationError("labeled fraction leaves no unlabeled images")
-    return SynthDataset(
-        features=features,
-        labels=labels,
-        labeled_idx=np.sort(perm[:n_labeled]),
-        unlabeled_idx=np.sort(perm[n_labeled:]),
-        classes=classes,
-        seed=seed,
-    )
+    every = np.arange(count)
+    return SynthDataset(features, labels, every, every[:0], classes, seed)
 
 
 def generate_from_config(config: SimConfig, seed: int) -> SynthDataset:
@@ -252,18 +277,6 @@ def cross_entropy_and_grad(model: LinearModel, features: np.ndarray, targets: np
     return _soft_ce(_logp(model, features), features, targets)
 
 
-def cross_entropy_hard(model: LinearModel, features: np.ndarray, labels: np.ndarray):
-    """Mean CE against integer labels; bitwise-equal to the soft path on one-hots."""
-    logp = _logp(model, features)
-    n = labels.shape[0]
-    idx = np.arange(n)
-    loss = -float(np.mean(logp[idx, labels]))
-    d = np.exp(logp)
-    d[idx, labels] -= 1.0
-    d /= n
-    return loss, d.T @ features, d.sum(axis=0)
-
-
 def _sgd_step(model: LinearModel, grad_w, grad_b, config: SimConfig) -> None:
     model.w_momentum *= config.momentum
     model.w_momentum += grad_w + config.weight_decay * model.weights
@@ -274,18 +287,16 @@ def _sgd_step(model: LinearModel, grad_w, grad_b, config: SimConfig) -> None:
 
 
 def evaluate_pair(model_a: LinearModel, model_b: LinearModel, data: SynthDataset) -> float:
-    """Validation mean IoU of the two-model probability ensemble."""
+    """Validation mean IoU of the two-model probability ensemble, one forward per model.
+
+    The product keeps its per-``(W, F)`` matrix shape over the ``(N, H, W, F)``
+    stack, so each image gets the probabilities of a forward of its own.
+    """
+    probs = 0.5 * (forward(model_a, data.features) + forward(model_b, data.features))
+    n, h, w, k = probs.shape
     cm = ConfusionMatrix(data.classes)
-    for i in range(data.count):
-        probs = 0.5 * (forward(model_a, data.features[i]) + forward(model_b, data.features[i]))
-        cm.update(data.labels[i], argmax_labels(probs))
+    cm.update(data.labels.reshape(n * h, w), argmax_labels(probs.reshape(n * h, w, k)))
     return cm.miou()
-
-
-def _flat(data: SynthDataset, image_indices: np.ndarray):
-    feats = data.features[image_indices]
-    labs = data.labels[image_indices]
-    return feats.reshape(-1, feats.shape[-1]), labs.reshape(-1).astype(np.intp)
 
 
 def _pseudo_targets(probs: np.ndarray, config: SimConfig) -> np.ndarray:
@@ -304,14 +315,15 @@ def _pseudo_targets(probs: np.ndarray, config: SimConfig) -> np.ndarray:
 def train_cps(data: SynthDataset, config: SimConfig, seed: int | None = None) -> TrainResult:
     """Cross-supervised training of a model pair on one dataset.
 
-    Each iteration, each model steps on its hard CE over a labeled batch
-    plus ``lam`` times its soft CE against the peer's boosted pseudo labels
-    on an unlabeled batch, both from the pre-update parameters. Each
-    model's pseudo labels take one boost pass over the unlabeled batch as
-    an ``(N, H, W, K)`` stack, with the bytes of one ``boost`` call per
-    image. ``seed`` drives initialization and batch sampling (default: the
-    dataset's seed).
-    Validation uses ``val_images`` images generated from ``data.seed + 1``.
+    Each iteration, each model steps on its soft CE against the one-hot
+    truth of a labeled batch plus ``lam`` times its soft CE against the
+    peer's boosted pseudo labels on an unlabeled batch, both from the
+    pre-update parameters. Each model's pseudo labels take one boost pass
+    over the unlabeled batch as an ``(N, H, W, K)`` stack, with the bytes
+    of one ``boost`` call per image. ``seed`` drives initialization and
+    batch sampling (default: the dataset's seed).
+    Validation uses ``val_images`` images generated from ``data.seed + 1``
+    (the images of :func:`generate`, which draws its split after them).
     Raises :class:`TrainingDiverged` on a non-finite loss.
     """
     if seed is None:
@@ -322,16 +334,19 @@ def train_cps(data: SynthDataset, config: SimConfig, seed: int | None = None) ->
     models = [LinearModel.init(k, f, np.random.default_rng(s)) for s in (init_a, init_b)]
     rng_l = np.random.default_rng(labeled_stream)
     rng_u = np.random.default_rng(unlabeled_stream)
-    val_config = replace(config, images=config.val_images, height=h, width=w, classes=k)
-    val = generate_from_config(val_config, data.seed + 1)
+    labeled = data.labels[data.labeled_idx]
+    truth = one_hot(labeled.reshape(-1, w), k).reshape(len(labeled), h * w, k).astype(np.float64)
+    val_rng = np.random.default_rng(data.seed + 1)
+    val = _synthesize(val_rng, config.val_images, h, w, k, config.noise, data.seed + 1)
     history, losses = [], []
     for t in range(1, config.iters + 1):
-        batch_l = data.labeled_idx[rng_l.integers(0, len(data.labeled_idx), size=config.batch)]
-        x_l, y_l = _flat(data, batch_l)
-        steps = [cross_entropy_hard(m, x_l, y_l) for m in models]
+        pick = rng_l.integers(0, len(labeled), size=config.batch)
+        x_l = data.features[data.labeled_idx[pick]].reshape(-1, f)
+        y_l = truth[pick].reshape(-1, k)
+        steps = [_soft_ce(_logp(m, x_l), x_l, y_l) for m in models]
         if config.lam > 0.0:
             batch_u = data.unlabeled_idx[rng_u.integers(0, len(data.unlabeled_idx), size=config.batch)]
-            x_u, _ = _flat(data, batch_u)
+            x_u = data.features[batch_u].reshape(-1, f)
             # One forward per model: its probabilities are the peer's pseudo
             # targets, its log-probabilities give its own soft-CE gradient.
             _check_finite(*models)

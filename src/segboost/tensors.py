@@ -129,10 +129,10 @@ def _argmax(pred: np.ndarray) -> np.ndarray:
     return np.argmax(pred, axis=-1).astype(np.uint16)
 
 
-def validate_probmap(pred: np.ndarray, normalized: bool = True) -> np.ndarray:
+def validate_probmap(pred: np.ndarray) -> np.ndarray:
     """Check probability-map invariants and return the array unchanged.
 
-    Values must sit in [0, 1]; with ``normalized`` the per-pixel class sums
+    Values must sit in [0, 1] with no NaN, and the per-pixel class sums
     must fall within 1e-4 of 1.
     """
     pred = _check_map(pred)
@@ -141,14 +141,13 @@ def validate_probmap(pred: np.ndarray, normalized: bool = True) -> np.ndarray:
         raise ValidationError(
             f"probability {pred[r, c, k]!r} at pixel ({r}, {c}), class {k} outside [0, 1]"
         )
-    if normalized:
-        sums = _over_classes(np.add, pred, np.float64)
-        off = np.abs(sums - 1.0) > 1e-4
-        if off.any():
-            r, c = np.argwhere(off)[0]
-            raise ValidationError(
-                f"class sum {sums[r, c]:.6f} at pixel ({r}, {c}) not within 1e-4 of 1"
-            )
+    sums = _over_classes(np.add, pred, np.float64)
+    off = np.abs(sums - 1.0) > 1e-4
+    if off.any():
+        r, c = np.argwhere(off)[0]
+        raise ValidationError(
+            f"class sum {sums[r, c]:.6f} at pixel ({r}, {c}) not within 1e-4 of 1"
+        )
     return pred
 
 

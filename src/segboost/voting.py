@@ -15,7 +15,9 @@ conventions are supported:
 All counting is integer and the division happens once at the end, so the
 reference path (:func:`vote_naive`) and the summed-area-table path
 (:func:`vote_integral`) produce bit-identical float32 output, and results
-do not depend on how the work is partitioned across threads.
+do not depend on how the work is partitioned across threads. The reference
+path counts each window and measures its in-bounds area in its own loop;
+it shares only that final division with the path it checks.
 
 Void pixels (all-zero one-hot rows) contribute nothing to numerators;
 denominators are not reduced for them.
@@ -23,13 +25,19 @@ denominators are not reduced for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .tensors import ValidationError
 
 BORDER_MODES = ("clip", "zero")
+
+
+def _is_int(value) -> bool:
+    """True for Python and NumPy integers, but not for bools."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -58,6 +66,8 @@ class VicinitySpec:
 
     def __post_init__(self):
         for name, v in (("height", self.height), ("width", self.width)):
+            if not _is_int(v):
+                raise ValidationError(f"vicinity {name} must be an integer, got {v!r}")
             if v < 1 or v % 2 == 0:
                 raise ValidationError(
                     f"vicinity {name} must be odd and >= 1, got {v} (no centered window exists)"
@@ -123,25 +133,37 @@ def _finish(counts: np.ndarray, area: np.ndarray, v: VicinitySpec, ops: OpCounte
     return votes
 
 
-def vote_counts_naive(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = None) -> np.ndarray:
-    """Integer window counts by direct per-pixel summation (reference path)."""
+def vote_naive(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = None) -> np.ndarray:
+    """Regional vote map by direct per-pixel counting (reference path).
+
+    Each window is clipped to the image, summed and measured here, with no
+    summed-area table. Output float32 ``(H, W, K)``.
+    """
     p_oh = _check_one_hot(p_oh)
     h, w, k = p_oh.shape
     rh, rw = v.height // 2, v.width // 2
     counts = np.empty((h, w, k), dtype=np.int64)
+    area = np.empty((h, w), dtype=np.int64)
     total = 0
     for i in range(h):
         r0, r1 = max(i - rh, 0), min(i + rh + 1, h)
         for j in range(w):
             c0, c1 = max(j - rw, 0), min(j + rw + 1, w)
             counts[i, j] = p_oh[r0:r1, c0:c1].sum(axis=(0, 1), dtype=np.int64)
-            total += ((r1 - r0) * (c1 - c0) - 1) * k
+            area[i, j] = size = (r1 - r0) * (c1 - c0)
+            total += (size - 1) * k
     if ops is not None:
         ops.tally(total)
-    return counts
+    return _finish(counts, area, v, ops)
 
 
-def _counts_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None):
+def vote_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = None) -> np.ndarray:
+    """Regional vote map via per-class summed-area tables; bit-identical to vote_naive.
+
+    The arithmetic volume depends only on the map shape, never on the
+    window size: two cumulative sums build the table and four corner
+    lookups recover each window sum.
+    """
     p_oh = _check_one_hot(p_oh)
     h, w, k = p_oh.shape
     # Each count is at most h * w, so int32 cannot overflow below 2**31 pixels.
@@ -150,30 +172,6 @@ def _counts_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None):
     if ops is not None:
         ops.tally((h - 1) * w * k + h * (w - 1) * k)  # the two cumulative sums
         ops.tally(3 * h * w * k)  # corner combination
-    return counts, area
-
-
-def vote_counts_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = None) -> np.ndarray:
-    """Integer window counts via per-class summed-area tables.
-
-    The arithmetic volume depends only on the map shape, never on the
-    window size: two cumulative sums build the table and four corner
-    lookups recover each window sum. Returned as int64, like the naive path.
-    """
-    return _counts_integral(p_oh, v, ops)[0].astype(np.int64, copy=False)
-
-
-def vote_naive(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = None) -> np.ndarray:
-    """Regional vote map by direct counting. Output float32 ``(H, W, K)``."""
-    counts = vote_counts_naive(p_oh, v, ops)
-    # A class-free slice of the counts has the right shape and costs nothing to sum.
-    _, area = _window_sums(counts[:, :, :0], v.height // 2, v.width // 2, np.int64)
-    return _finish(counts, area, v, ops)
-
-
-def vote_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = None) -> np.ndarray:
-    """Regional vote map via summed-area tables; bit-identical to vote_naive."""
-    counts, area = _counts_integral(p_oh, v, ops)
     return _finish(counts, area, v, ops)
 
 

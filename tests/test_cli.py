@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file round-trips, exit codes."""
 
 import io
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -26,6 +27,30 @@ def run_cli(*args):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(args))
     return code, out.getvalue(), err.getvalue()
+
+
+def count_stages(monkeypatch):
+    """Calls per pipeline stage, counted at the name each module calls.
+
+    The booster and the CLI run the private kernels once validate_probmap
+    has checked their input.
+    """
+    stages = {
+        "validate": {"booster": "validate_probmap", "cli": "validate_probmap"},
+        "vote": {"booster": "vote_integral", "cli": "vote_integral"},
+        "confidence": {"booster": "_neg_entropy", "cli": "_neg_entropy"},
+        "weights": {"booster": "_image_weights", "cli": "_image_weights"},
+        "argmax": {"booster": "_argmax", "cli": "argmax_labels"},
+    }
+    calls = dict.fromkeys(stages, 0)
+    for stage, names in stages.items():
+        for module_name, name in names.items():
+            module = getattr(segboost, module_name)
+            def counted(*args, _fn=getattr(module, name), _stage=stage, **kwargs):
+                calls[_stage] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture
@@ -57,6 +82,17 @@ class TestExitCodes:
         assert run_cli("frobnicate")[0] == 1
         assert run_cli("bounds", "--n", "100")[0] == 1
         assert run_cli("simulate", "--policies", "ruv,warp", "--iters", "1")[0] == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eval-every", "0"), ("--noise", "-1"), ("--lambda", "nan"), ("--batch", "0"),
+        ("--lr", "-1"), ("--height", "0"), ("--seed", "-1"), ("--labeled-fraction", "1"),
+    ])
+    def test_config_that_cannot_run_is_one_usage_error(self, flag, value):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli("simulate", "--iters", "2", "--images", "4", flag, value)
+        assert (code, out, caught) == (1, "", [])
+        assert len(err.splitlines()) == 1 and err.startswith("usage error: ")
 
     def test_data_errors_exit_two(self, tmp_path):
         missing = tmp_path / "missing.ten1"
@@ -123,25 +159,10 @@ class TestBoostCommand:
     @pytest.mark.parametrize("harden", [[], ["--harden"]])
     def test_each_stage_runs_once(self, probmap, tmp_path, monkeypatch, harden):
         path, _ = probmap
-        # stage -> the function each module calls for it; the booster runs the
-        # private kernels once validate_probmap has checked its input
-        stages = {
-            "validate": {"booster": "validate_probmap", "cli": "validate_probmap"},
-            "vote": {"booster": "vote_integral", "cli": "vote_integral"},
-            "confidence": {"booster": "_neg_entropy", "cli": "confidence"},
-            "argmax": {"booster": "_argmax", "cli": "argmax_labels"},
-        }
-        calls = dict.fromkeys(stages, 0)
-        for stage, names in stages.items():
-            for module_name, name in names.items():
-                module = getattr(segboost, module_name)
-                def counted(*args, _fn=getattr(module, name), _stage=stage, **kwargs):
-                    calls[_stage] += 1
-                    return _fn(*args, **kwargs)
-                monkeypatch.setattr(module, name, counted)
+        calls = count_stages(monkeypatch)
         assert run_cli("boost", str(path), "--out", str(tmp_path / "b.ten1"), *harden)[0] == 0
         # argmax runs on the input and on the boosted map, which --harden reuses
-        assert calls == {"validate": 1, "vote": 1, "confidence": 1, "argmax": 2}
+        assert calls == {"validate": 1, "vote": 1, "confidence": 1, "weights": 1, "argmax": 2}
 
     @pytest.mark.parametrize("policy", ["ruv", "uniform", "none"])
     def test_harden_writes_the_argmax_of_the_boosted_map(self, probmap, tmp_path, policy):
@@ -186,6 +207,12 @@ class TestVoteAndConf:
         path.write_bytes(write_tensor(np.full((3, 3), IGNORE_LABEL, dtype=np.uint16)))
         assert run_cli("vote", str(path), "--out", str(tmp_path / "v.ten1"))[0] == 2
         assert run_cli("vote", str(path), "--out", str(tmp_path / "v.ten1"), "--classes", "2")[0] == 0
+
+    def test_conf_checks_its_input_once(self, probmap, tmp_path, monkeypatch):
+        path, _ = probmap
+        calls = count_stages(monkeypatch)
+        assert run_cli("conf", str(path), "--out", str(tmp_path / "c.ten1"))[0] == 0
+        assert calls == {"validate": 1, "vote": 0, "confidence": 1, "weights": 1, "argmax": 0}
 
     def test_conf_one_hot_is_zero_plane(self, tmp_path):
         oh = one_hot(np.zeros((4, 4), dtype=np.uint16), 2).astype(np.float32)

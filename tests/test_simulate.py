@@ -1,16 +1,18 @@
 """Synthetic data generation and the cross-supervision training loop."""
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from segboost import (
+    POLICIES,
     LinearModel,
     SimConfig,
     TrainingDiverged,
@@ -20,7 +22,6 @@ from segboost import (
     argmax_labels,
     boost,
     cross_entropy_and_grad,
-    cross_entropy_hard,
     evaluate_pair,
     forward,
     generate,
@@ -31,7 +32,8 @@ from segboost import (
     train_supervised,
 )
 import segboost.simulate
-from segboost.simulate import _box_mean, _log_softmax, _pseudo_targets, _soft_ce
+from segboost.metrics import ConfusionMatrix
+from segboost.simulate import _box_mean, _log_softmax, _logp, _pseudo_targets, _soft_ce
 from segboost.tensors import _over_classes
 
 
@@ -188,32 +190,22 @@ class TestModelAndLoss:
             fd = (loss_at(model.weights, b_hi) - loss_at(model.weights, b_lo)) / (2 * eps)
             assert grad_b[k] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
-    def test_hard_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(13)
-        model = LinearModel.init(3, 4, rng)
-        feats = rng.normal(size=(10, 4))
-        labels = rng.integers(0, 3, size=10)
-        _, grad_w, _ = cross_entropy_hard(model, feats, labels)
-        eps = 1e-6
-        for idx in ((0, 0), (1, 3), (2, 2)):
-            w_hi, w_lo = model.weights.copy(), model.weights.copy()
-            w_hi[idx] += eps
-            w_lo[idx] -= eps
-            hi = cross_entropy_hard(LinearModel(w_hi, model.bias, 0, 0), feats, labels)[0]
-            lo = cross_entropy_hard(LinearModel(w_lo, model.bias, 0, 0), feats, labels)[0]
-            assert grad_w[idx] == pytest.approx((hi - lo) / (2 * eps), rel=1e-4)
-
-    def test_hard_equals_soft_on_one_hot_targets_bitwise(self):
+    def test_soft_ce_on_one_hot_rows_matches_label_formula_bitwise(self):
+        # oracle: CE indexed by the integer labels, as the labeled step once computed it
         rng = np.random.default_rng(15)
         model = LinearModel.init(4, 6, rng)
         feats = rng.normal(size=(20, 6))
         labels = rng.integers(0, 4, size=20)
-        one_hot_targets = np.eye(4)[labels]
-        l_h, gw_h, gb_h = cross_entropy_hard(model, feats, labels)
-        l_s, gw_s, gb_s = cross_entropy_and_grad(model, feats, one_hot_targets)
-        assert l_h == l_s
-        np.testing.assert_array_equal(gw_h, gw_s)
-        np.testing.assert_array_equal(gb_h, gb_s)
+        rows = one_hot(labels.reshape(4, 5), 4).reshape(20, 4).astype(np.float64)
+        logp = _logp(model, feats)
+        idx = np.arange(20)
+        d = np.exp(logp)
+        d[idx, labels] -= 1.0
+        d /= 20
+        loss, grad_w, grad_b = _soft_ce(logp, feats, rows)
+        assert repr(loss) == repr(-float(np.mean(logp[idx, labels])))
+        assert grad_w.tobytes() == (d.T @ feats).tobytes()
+        assert grad_b.tobytes() == d.sum(axis=0).tobytes()
 
     def test_loss_nonnegative_and_finite(self):
         rng = np.random.default_rng(17)
@@ -287,6 +279,28 @@ class TestTraining:
             res = train_cps(data, replace(cfg, policy=policy, harden=True), seed=1)
             assert len(res.history) == 1
 
+    def test_evaluate_pair_matches_per_image_loop(self):
+        # oracle: one forward, argmax and confusion update per image
+        rng = np.random.default_rng(23)
+        data = generate(8, count=5, height=9, width=11, classes=4)
+        for _ in range(3):
+            a, b = (LinearModel.init(4, 6, rng, scale=3.0) for _ in range(2))
+            cm = ConfusionMatrix(4)
+            for i in range(data.count):
+                probs = 0.5 * (forward(a, data.features[i]) + forward(b, data.features[i]))
+                cm.update(data.labels[i], argmax_labels(probs))
+            assert repr(evaluate_pair(a, b, data)) == repr(cm.miou())
+
+    def test_validation_set_ignores_the_labeled_fraction(self):
+        # 0.8 of 2 validation images would label both; validation never uses a split
+        cfg = SimConfig(iters=1, images=10, labeled_fraction=0.8, val_images=2)
+        data = generate_from_config(cfg, 4)
+        assert (len(data.labeled_idx), len(data.unlabeled_idx)) == (8, 2)
+        res = train_cps(data, cfg)
+        val = generate(5, count=2, labeled_fraction=0.5)
+        assert res.history == [(1, evaluate_pair(res.model_a, res.model_b, val))]
+        assert len(train_cps(data, replace(cfg, val_images=1)).history) == 1
+
     def test_evaluate_pair_on_perfect_models_is_high(self):
         cfg = _small_cfg()
         data = generate_from_config(cfg, 9)
@@ -329,8 +343,8 @@ class TestTraining:
         monkeypatch.setattr(segboost.simulate, "_log_softmax", lambda x: calls.append(x) or log_softmax(x))
         cfg = _small_cfg(iters=1, batch=4, val_images=3)
         train_cps(generate_from_config(cfg, 2), cfg, seed=2)
-        # labeled and unlabeled batch for each model, then two per validation image
-        assert len(calls) == 4 + 2 * cfg.val_images
+        # labeled and unlabeled batch for each model, then one per model over the validation stack
+        assert len(calls) == 4 + 2
 
     def test_one_boost_pass_per_model_per_iteration(self, monkeypatch):
         calls = []
@@ -365,6 +379,55 @@ class TestTraining:
             SimConfig(lam=-1.0)
         with pytest.raises(ValidationError):
             SimConfig(iters=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("lam", math.nan), ("lam", math.inf), ("lr", 0.0), ("lr", -1.0), ("momentum", 1.0),
+        ("momentum", -0.1), ("weight_decay", -1e-4), ("noise", -1.0), ("noise", math.nan),
+        ("labeled_fraction", 0.0), ("labeled_fraction", 1.0), ("batch", 0), ("eval_every", 0),
+        ("height", 0), ("width", 0), ("val_images", 0), ("images", 1), ("classes", 1),
+        ("batch", 2.0), ("iters", True), ("policy", "warp"), ("seeds", ()), ("seeds", [0]),
+        ("seeds", (-1,)), ("seeds", (1.5,)), ("vicinity", 5), ("harden", 1),
+    ])
+    def test_rejects_each_field_that_cannot_run(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            SimConfig(**{field: value})
+
+    _odd = st.sampled_from([1, 3, 5, 41])
+    _runnable = {
+        "lam": st.floats(0, 10), "lr": st.floats(0, 10, exclude_min=True),
+        "momentum": st.floats(0, 1, exclude_max=True), "weight_decay": st.floats(0, 1),
+        "noise": st.floats(0, 5), "labeled_fraction": st.floats(0, 1, exclude_min=True, exclude_max=True),
+        "batch": st.integers(1, 6), "eval_every": st.integers(1, 3), "images": st.integers(2, 8),
+        "height": st.integers(1, 10), "width": st.integers(1, 10), "classes": st.integers(2, 9),
+        "val_images": st.integers(1, 4), "policy": st.sampled_from(POLICIES),
+        "seeds": st.tuples(st.integers(0, 50)), "harden": st.booleans(),
+        "vicinity": st.builds(VicinitySpec, _odd, _odd, st.sampled_from(["clip", "zero"])),
+    }
+    _wild_real = st.floats(-1e6, 1e6) | st.sampled_from([math.nan, math.inf, -math.inf, True, "1", None])
+    _wild_count = st.integers(-3, 16) | st.sampled_from([2.0, True, None, "3"])
+    _wild = {
+        **dict.fromkeys(["lam", "lr", "momentum", "weight_decay", "noise", "labeled_fraction"], _wild_real),
+        **dict.fromkeys(["batch", "eval_every", "images", "height", "width", "classes", "val_images"],
+                        _wild_count),
+        "policy": st.sampled_from(["warp", None, 3]),
+        "seeds": st.sampled_from([(), [3], (-1,), (2.0,), (True,), (1, "2")]),
+        "harden": st.sampled_from([0, 1, None]),
+        "vicinity": st.sampled_from([5, (5, 5), None]),
+    }
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_config_runs_one_iteration_or_raises_validation_error(self, data):
+        # a runnable config with up to three fields drawn from anywhere
+        fields = {name: data.draw(strategy, label=name) for name, strategy in self._runnable.items()}
+        for name in data.draw(st.sets(st.sampled_from(sorted(self._wild)), max_size=3), label="wild"):
+            fields[name] = data.draw(self._wild[name] | self._runnable[name], label=name)
+        try:
+            cfg = SimConfig(iters=1, **fields)
+            res = train_cps(generate_from_config(cfg, cfg.seeds[0]), cfg)
+        except ValidationError:
+            return
+        assert len(res.losses) == len(res.history) == 1
 
 
 class TestAblate:

@@ -121,7 +121,6 @@ class TestValidateProbmap:
         pred = np.full((2, 2, 2), 0.4)
         with pytest.raises(ValidationError, match="sum"):
             validate_probmap(pred)
-        validate_probmap(pred, normalized=False)  # tolerated when asked
 
     def test_rejects_nan(self):
         pred = np.full((2, 2, 2), 0.5)

@@ -12,12 +12,11 @@ from segboost import (
     ValidationError,
     VicinitySpec,
     one_hot,
-    vote_counts_integral,
-    vote_counts_naive,
     vote_integral,
     vote_naive,
     vote_uniform,
 )
+import segboost.voting
 from segboost.voting import _window_sums
 
 
@@ -35,6 +34,13 @@ def _window_sum_reference(p_oh, v):
     return out
 
 
+def _reference_votes(p_oh, v):
+    """Votes from the reference counts; under ``clip`` the area is counted pixel by pixel too."""
+    h, w, _ = p_oh.shape
+    divisor = v.size if v.border == "zero" else _window_sum_reference(np.ones((h, w, 1), np.uint8), v)
+    return np.divide(_window_sum_reference(p_oh, v), divisor, dtype=np.float64).astype(np.float32)
+
+
 class TestVicinitySpec:
     def test_defaults(self):
         v = VicinitySpec()
@@ -47,6 +53,16 @@ class TestVicinitySpec:
             VicinitySpec(bad, 3)
         with pytest.raises(ValidationError):
             VicinitySpec(3, bad)
+
+    @pytest.mark.parametrize("bad", [True, 3.0, "3", None])
+    def test_rejects_sizes_that_are_not_integers(self, bad):
+        with pytest.raises(ValidationError, match="integer"):
+            VicinitySpec(bad, 3)
+        with pytest.raises(ValidationError, match="integer"):
+            VicinitySpec(3, bad)
+
+    def test_accepts_numpy_integers(self):
+        assert VicinitySpec(np.int64(3), np.uint8(5)).size == 15
 
     def test_rejects_unknown_border(self):
         with pytest.raises(ValidationError):
@@ -79,10 +95,25 @@ class TestCountsAgainstReference:
             labels = rng.integers(0, k, size=(h, w)).astype(np.uint16)
             p_oh = one_hot(labels, k)
             for size in (1, 3, 5):
-                v = VicinitySpec(size, size)
-                ref = _window_sum_reference(p_oh, v)
-                np.testing.assert_array_equal(vote_counts_naive(p_oh, v), ref)
-                np.testing.assert_array_equal(vote_counts_integral(p_oh, v), ref)
+                for border in ("clip", "zero"):
+                    v = VicinitySpec(size, size, border)
+                    want = _reference_votes(p_oh, v).tobytes()
+                    assert vote_naive(p_oh, v).tobytes() == want
+                    assert vote_integral(p_oh, v).tobytes() == want
+
+    def test_naive_path_never_uses_the_window_sums(self, monkeypatch):
+        def window_sums(*args, **kwargs):
+            raise AssertionError("vote_naive called _window_sums")
+
+        monkeypatch.setattr(segboost.voting, "_window_sums", window_sums)
+        rng = np.random.default_rng(7)
+        labels = rng.integers(0, 4, size=(9, 6)).astype(np.uint16)
+        labels[rng.random((9, 6)) < 0.2] = IGNORE_LABEL
+        p_oh = one_hot(labels, 4)
+        for hw in ((1, 1), (3, 5), (7, 1), (21, 15)):
+            for border in ("clip", "zero"):
+                v = VicinitySpec(*hw, border)
+                assert vote_naive(p_oh, v).tobytes() == _reference_votes(p_oh, v).tobytes()
 
 
 class TestBitIdentity:
