@@ -9,8 +9,14 @@ from the other's (optionally uncertainty-boosted) pseudo labels,
 and symmetrically for the second model. The point is not to rival a real
 segmentation network but to compare booster policies (none / uniform /
 regional) under identical conditions in seconds, with bitwise-reproducible
-trajectories. The model math is two kernels, ``_logp`` and ``_soft_ce``;
-the labeled term is the soft CE against float64 one-hot rows of the truth.
+trajectories. The model math is two kernels, ``_log_softmax`` and
+``_ce_grad``; the labeled term is the soft CE against float64 one-hot rows
+of the truth. Training runs them class-major, on both models at once: the
+pair's parameters are one ``(2K, F)`` matrix, its logits ``(2, K, n)``
+rows, and the bits are those of the row-major per-model formulas (class
+sums in order from +0.0 below 8 classes and pairwise from 8 on, bias
+gradients as sequential column sums). ``forward`` and
+``cross_entropy_and_grad`` keep the row-major ``(n, K)`` interface.
 
 Synthetic images are built from per-class Gaussian blob score fields
 (labels = per-pixel argmax) rendered through a per-dataset class palette
@@ -27,7 +33,7 @@ histories down to the bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Real
 from typing import Sequence
 
@@ -85,6 +91,44 @@ class LinearModel:
         )
 
 
+def _real(v) -> bool:
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _at_least(low: int):
+    return lambda v: _is_int(v) and v >= low, f"an integer >= {low}"
+
+
+# The rule of each simulator setting, as (test, wording): SimConfig checks
+# every field, and generate() its arguments of the same name.
+_RULES = {
+    "lam": (lambda v: _real(v) and v >= 0, "a finite number >= 0"),
+    "lr": (lambda v: _real(v) and v > 0, "a finite number > 0"),
+    "momentum": (lambda v: _real(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "weight_decay": (lambda v: _real(v) and v >= 0, "a finite number >= 0"),
+    "labeled_fraction": (lambda v: _real(v) and 0 < v < 1, "a number in (0, 1)"),
+    "noise": (lambda v: _real(v) and v >= 0, "a finite number >= 0"),
+    "vicinity": (lambda v: isinstance(v, VicinitySpec), "a VicinitySpec"),
+    "policy": (lambda v: isinstance(v, str) and v in POLICIES, f"one of {POLICIES}"),
+    "seeds": (lambda v: isinstance(v, tuple) and len(v) > 0 and all(_is_int(s) and s >= 0 for s in v),
+              "a non-empty tuple of integers >= 0"),
+    "harden": (lambda v: isinstance(v, bool), "a bool"),
+    **{name: _at_least(low) for name, low in (("iters", 1), ("batch", 1), ("eval_every", 1), ("images", 2),
+                                              ("height", 1), ("width", 1), ("classes", 2), ("val_images", 1))},
+}
+
+
+def _require(name: str, value, ok, rule: str) -> None:
+    if not ok(value):
+        raise ValidationError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check(**values) -> None:
+    """Raise ``ValidationError`` for the first value that breaks its rule in ``_RULES``."""
+    for name, value in values.items():
+        _require(name, value, *_RULES[name])
+
+
 @dataclass
 class SimConfig:
     """Everything a simulator run depends on, data generation included."""
@@ -109,30 +153,7 @@ class SimConfig:
     val_images: int = 8
 
     def __post_init__(self):
-        def real(v) -> bool:
-            return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
-
-        checks = [
-            ("lam", real(self.lam) and self.lam >= 0, "a finite number >= 0"),
-            ("lr", real(self.lr) and self.lr > 0, "a finite number > 0"),
-            ("momentum", real(self.momentum) and 0 <= self.momentum < 1, "a number in [0, 1)"),
-            ("weight_decay", real(self.weight_decay) and self.weight_decay >= 0, "a finite number >= 0"),
-            ("labeled_fraction", real(self.labeled_fraction) and 0 < self.labeled_fraction < 1,
-             "a number in (0, 1)"),
-            ("noise", real(self.noise) and self.noise >= 0, "a finite number >= 0"),
-            ("vicinity", isinstance(self.vicinity, VicinitySpec), "a VicinitySpec"),
-            ("policy", isinstance(self.policy, str) and self.policy in POLICIES, f"one of {POLICIES}"),
-            ("seeds", isinstance(self.seeds, tuple) and len(self.seeds) > 0
-             and all(_is_int(s) and s >= 0 for s in self.seeds), "a non-empty tuple of integers >= 0"),
-            ("harden", isinstance(self.harden, bool), "a bool"),
-        ]
-        for name, low in (("iters", 1), ("batch", 1), ("eval_every", 1), ("images", 2),
-                          ("height", 1), ("width", 1), ("classes", 2), ("val_images", 1)):
-            value = getattr(self, name)
-            checks.append((name, _is_int(value) and value >= low, f"an integer >= {low}"))
-        for name, ok, rule in checks:
-            if not ok:
-                raise ValidationError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        _check(**{name: getattr(self, name) for name in _RULES})
 
 
 @dataclass
@@ -163,12 +184,14 @@ def generate(
     Each image draws one Gaussian blob score field per class; the label is
     the per-pixel argmax, giving smooth connected regions. Intensities come
     from a per-dataset class palette (two channels) plus Gaussian noise.
-    The labeled/unlabeled split is drawn after the images.
+    The labeled/unlabeled split is drawn after the images; it labels at
+    least one image, so ``labeled_fraction`` may be 0. The other arguments
+    follow the :class:`SimConfig` rules of the same name (``count`` those
+    of ``images``); a value that breaks one raises ``ValidationError``.
     """
-    if classes < 2:
-        raise ValidationError(f"need at least 2 classes, got {classes}")
-    if count < 2:
-        raise ValidationError(f"need at least 2 images, got {count}")
+    _check(classes=classes, height=height, width=width, noise=noise)
+    _require("count", count, *_RULES["images"])
+    _require("labeled_fraction", labeled_fraction, lambda v: _real(v) and 0 <= v < 1, "a number in [0, 1)")
     rng = np.random.default_rng(seed)
     data = _synthesize(rng, count, height, width, classes, noise, seed)
     perm = rng.permutation(count)
@@ -241,15 +264,20 @@ def generate_from_config(config: SimConfig, seed: int) -> SynthDataset:
     )
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - _over_classes(np.maximum, logits)[..., None]
-    return z - np.log(_over_classes(np.add, np.exp(z)))[..., None]
+def _log_softmax(logits: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """Log-softmax over the class ``axis``: ``-1`` row-major, ``-2`` class-major ``(..., K, n)``.
+
+    Written to ``out``, which may be ``logits`` itself; the bits are those
+    of the row-major formula in either layout.
+    """
+    z = np.subtract(logits, np.expand_dims(_over_classes(np.maximum, logits, axis=axis), axis), out=out)
+    z -= np.expand_dims(np.log(_over_classes(np.add, np.exp(z), axis=axis)), axis)
+    return z
 
 
-def _check_finite(*models: LinearModel) -> None:
-    for model in models:
-        if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
-            raise ValidationError("model parameters are not finite")
+def _check_finite(model: LinearModel) -> None:
+    if not (np.isfinite(model.weights).all() and np.isfinite(model.bias).all()):
+        raise ValidationError("model parameters are not finite")
 
 
 def _logp(model: LinearModel, features: np.ndarray) -> np.ndarray:
@@ -262,10 +290,31 @@ def forward(model: LinearModel, features: np.ndarray) -> np.ndarray:
     return np.exp(_logp(model, features))
 
 
+def _ce_grad(logp: np.ndarray, probs: np.ndarray, targets: np.ndarray, features: np.ndarray):
+    """Soft CE and its gradients on class-major rows, overwriting ``logp`` and ``probs``.
+
+    ``logp`` is ``(K, n)`` for one model or ``(2, K, n)`` for a pair,
+    ``probs`` is ``exp(logp)``, ``targets`` broadcasts against both, and
+    ``features`` is the ``(n, F)`` batch. Returns one loss per model and
+    the gradients of all ``K`` or ``2K`` rows, ``(rows, F)`` and ``(rows,)``,
+    with the bits of each model's row-major ``-mean(sum(t * logp, 1))``,
+    ``d.T @ x`` and ``d.sum(axis=0)`` for ``d = (p - t) / n`` and K >= 2.
+    That ``sum`` adds each column in order from +0.0; ``cumsum`` along a
+    row does too, except that an all-zero row ends at -0.0, which
+    ``+ 0.0`` turns into +0.0.
+    """
+    n = logp.shape[-1]
+    loss = -np.mean(_over_classes(np.add, np.multiply(targets, logp, out=logp), axis=-2), axis=-1)
+    probs -= targets
+    probs /= n
+    d = probs.reshape(-1, n)
+    return loss, d @ features, np.cumsum(d, axis=-1)[:, -1] + 0.0
+
+
 def _soft_ce(logp: np.ndarray, features: np.ndarray, targets: np.ndarray):
-    loss = -float(np.mean(_over_classes(np.add, targets * logp)))
-    d = (np.exp(logp) - targets) / targets.shape[0]
-    return loss, d.T @ features, d.sum(axis=0)
+    """``_ce_grad`` on row-major ``(n, K)`` rows, through class-major copies."""
+    loss, grad_w, grad_b = _ce_grad(logp.T.copy(), np.exp(logp.T), targets.T, features)
+    return float(loss), grad_w, grad_b
 
 
 def cross_entropy_and_grad(model: LinearModel, features: np.ndarray, targets: np.ndarray):
@@ -286,16 +335,45 @@ def _sgd_step(model: LinearModel, grad_w, grad_b, config: SimConfig) -> None:
     model.bias -= config.lr * model.b_momentum
 
 
-def evaluate_pair(model_a: LinearModel, model_b: LinearModel, data: SynthDataset) -> float:
-    """Validation mean IoU of the two-model probability ensemble, one forward per model.
+def _pair(models: Sequence[LinearModel]) -> LinearModel:
+    """Two K-class models as one of 2K rows, the first model's on top."""
+    return LinearModel(*(np.concatenate([getattr(m, f.name) for m in models]) for f in fields(LinearModel)))
 
-    The product keeps its per-``(W, F)`` matrix shape over the ``(N, H, W, F)``
-    stack, so each image gets the probabilities of a forward of its own.
+
+def _unpair(pair: LinearModel) -> list:
+    """The two models of a pair, each owning copies of its rows."""
+    k = pair.bias.size // 2
+    return [LinearModel(*(getattr(pair, f.name)[i * k:(i + 1) * k].copy() for f in fields(LinearModel)))
+            for i in (0, 1)]
+
+
+def _pair_logp(pair: LinearModel, features_t: np.ndarray) -> np.ndarray:
+    """Class-major log-probabilities ``(..., 2, K, n)`` of a pair on ``(..., F, n)`` features.
+
+    One product for both models; for K >= 2 its rows are bit-equal to
+    each model's row-major ``features @ weights.T``.
     """
-    probs = 0.5 * (forward(model_a, data.features) + forward(model_b, data.features))
-    n, h, w, k = probs.shape
+    z = pair.weights @ features_t
+    z += pair.bias[:, None]
+    z = z.reshape(z.shape[:-2] + (2, -1, z.shape[-1]))
+    return _log_softmax(z, axis=-2, out=z)
+
+
+def evaluate_pair(model_a: LinearModel, model_b: LinearModel, data: SynthDataset) -> float:
+    """Validation mean IoU of the two-model probability ensemble.
+
+    One class-major forward of both models over the whole ``(N, H, W, F)``
+    stack, one argmax and one confusion update; the probabilities are
+    those of one :func:`forward` per model and image.
+    """
+    pair = _pair([model_a, model_b])
+    _check_finite(pair)
+    n, h, w, f = data.features.shape
+    probs = _pair_logp(pair, data.features.reshape(-1, f).T)
+    np.exp(probs, out=probs)
+    probs = 0.5 * (probs[0] + probs[1])
     cm = ConfusionMatrix(data.classes)
-    cm.update(data.labels.reshape(n * h, w), argmax_labels(probs.reshape(n * h, w, k)))
+    cm.update(data.labels.reshape(n * h, w), argmax_labels(probs.T.reshape(n * h, w, -1)))
     return cm.miou()
 
 
@@ -312,16 +390,47 @@ def _pseudo_targets(probs: np.ndarray, config: SimConfig) -> np.ndarray:
     return soft.reshape(-1, k).astype(np.float64)
 
 
+def _pair_step(pair: LinearModel, features: np.ndarray, truth: np.ndarray, config: SimConfig):
+    """Per-model losses ``(2,)`` and the pair's gradients on one batch block.
+
+    ``features`` holds the labeled batch's ``(batch, H, W, F)`` images and,
+    when ``lam > 0``, the unlabeled batch's after them; ``truth`` holds the
+    labeled batch's ``(K, n)`` one-hot rows, the targets of both models.
+    """
+    k, n = truth.shape
+    x = features.reshape(-1, n, features.shape[-1])
+    logp = _pair_logp(pair, x.transpose(0, 2, 1))
+    probs = np.exp(logp)
+    targets = [truth]
+    if config.lam > 0.0:
+        # both models' unlabeled maps as one stack; each model learns from the other's half
+        stack = probs[1].transpose(0, 2, 1).reshape((-1,) + features.shape[1:3] + (k,))
+        targets.append(_pseudo_targets(stack, config).reshape(2, n, k)[::-1].transpose(0, 2, 1))
+    steps = [_ce_grad(logp[i], probs[i], y, x[i]) for i, y in enumerate(targets)]
+    if len(steps) == 1:
+        return steps[0]
+    return tuple(s + config.lam * u for s, u in zip(*steps))
+
+
 def train_cps(data: SynthDataset, config: SimConfig, seed: int | None = None) -> TrainResult:
     """Cross-supervised training of a model pair on one dataset.
 
     Each iteration, each model steps on its soft CE against the one-hot
     truth of a labeled batch plus ``lam`` times its soft CE against the
     peer's boosted pseudo labels on an unlabeled batch, both from the
-    pre-update parameters. Each model's pseudo labels take one boost pass
-    over the unlabeled batch as an ``(N, H, W, K)`` stack, with the bytes
-    of one ``boost`` call per image. ``seed`` drives initialization and
-    batch sampling (default: the dataset's seed).
+    pre-update parameters. ``seed`` drives initialization and batch
+    sampling (default: the dataset's seed).
+
+    The step works on the pair at once, class-major: both models'
+    parameters and momenta are one ``(2K, F)`` / ``(2K,)`` model, the
+    labeled and unlabeled batches one ``(halves, n, F)`` block, and each
+    iteration takes one product for the ``(halves, 2, K, n)`` logits, one
+    log-softmax over the class axis, one boost pass over both models'
+    unlabeled ``(2 * batch, H, W, K)`` stack (its swapped halves are the
+    peers' targets, with the bytes of one ``boost`` call per image), one
+    gradient product per batch half and one SGD step. Every bit is that of
+    one row-major :func:`cross_entropy_and_grad` per model and batch.
+
     Validation uses ``val_images`` images generated from ``data.seed + 1``
     (the images of :func:`generate`, which draws its split after them).
     Raises :class:`TrainingDiverged` on a non-finite loss.
@@ -331,40 +440,33 @@ def train_cps(data: SynthDataset, config: SimConfig, seed: int | None = None) ->
     init_a, init_b, labeled_stream, unlabeled_stream = np.random.SeedSequence(seed).spawn(4)
     _, h, w, f = data.features.shape
     k = data.classes
-    models = [LinearModel.init(k, f, np.random.default_rng(s)) for s in (init_a, init_b)]
+    pair = _pair([LinearModel.init(k, f, np.random.default_rng(s)) for s in (init_a, init_b)])
     rng_l = np.random.default_rng(labeled_stream)
     rng_u = np.random.default_rng(unlabeled_stream)
     labeled = data.labels[data.labeled_idx]
-    truth = one_hot(labeled.reshape(-1, w), k).reshape(len(labeled), h * w, k).astype(np.float64)
+    # class-major float64 one-hot truth, (K, labeled images, H*W)
+    truth = one_hot(labeled.reshape(-1, w), k).reshape(len(labeled), h * w, k).transpose(2, 0, 1)
+    truth = np.ascontiguousarray(truth, dtype=np.float64)
     val_rng = np.random.default_rng(data.seed + 1)
     val = _synthesize(val_rng, config.val_images, h, w, k, config.noise, data.seed + 1)
     history, losses = [], []
     for t in range(1, config.iters + 1):
         pick = rng_l.integers(0, len(labeled), size=config.batch)
-        x_l = data.features[data.labeled_idx[pick]].reshape(-1, f)
-        y_l = truth[pick].reshape(-1, k)
-        steps = [_soft_ce(_logp(m, x_l), x_l, y_l) for m in models]
+        images = data.labeled_idx[pick]
         if config.lam > 0.0:
+            _check_finite(pair)
             batch_u = data.unlabeled_idx[rng_u.integers(0, len(data.unlabeled_idx), size=config.batch)]
-            x_u = data.features[batch_u].reshape(-1, f)
-            # One forward per model: its probabilities are the peer's pseudo
-            # targets, its log-probabilities give its own soft-CE gradient.
-            _check_finite(*models)
-            logps = [_logp(m, x_u) for m in models]
-            targets = [_pseudo_targets(np.exp(lp).reshape(-1, h, w, k), config) for lp in logps]
-            steps = [
-                tuple(s + config.lam * u for s, u in zip(step, _soft_ce(lp, x_u, peer_targets)))
-                for step, lp, peer_targets in zip(steps, logps, targets[::-1])
-            ]
-        for loss, _, _ in steps:
-            if not np.isfinite(loss):
-                raise TrainingDiverged(t, loss)
-        for m, (_, gw, gb) in zip(models, steps):
-            _sgd_step(m, gw, gb, config)
-        losses.append(tuple(loss for loss, _, _ in steps))
+            images = np.append(images, batch_u)
+        loss, grad_w, grad_b = _pair_step(pair, data.features[images], truth[:, pick].reshape(k, -1), config)
+        loss = tuple(loss.tolist())
+        for value in loss:
+            if not math.isfinite(value):
+                raise TrainingDiverged(t, value)
+        _sgd_step(pair, grad_w, grad_b, config)
+        losses.append(loss)
         if t % config.eval_every == 0 or t == config.iters:
-            history.append((t, evaluate_pair(*models, val)))
-    return TrainResult(*models, history, losses)
+            history.append((t, evaluate_pair(*_unpair(pair), val)))
+    return TrainResult(*_unpair(pair), history, losses)
 
 
 def train_supervised(data: SynthDataset, config: SimConfig, seed: int | None = None) -> TrainResult:

@@ -78,23 +78,27 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     return (labels[:, :, None] == np.arange(classes)).view(np.uint8)
 
 
-def _over_classes(op, x: np.ndarray, dtype=None) -> np.ndarray:
+def _over_classes(op, x: np.ndarray, dtype=None, axis: int = -1) -> np.ndarray:
     """``op.reduce(x, axis=-1)`` of a float array, for ``np.maximum`` or ``np.add``, with the same bits.
 
     The class axis is short, and reducing over it costs numpy a loop per
     row, so this runs K operations on whole columns instead. A running
     maximum is exact in any order. numpy adds fewer than 8 elements in
     order, starting from +0.0; 8 or more it sums pairwise, so those keep
-    ``sum``. ``dtype`` is the accumulator, as in ``sum``.
+    ``sum``. ``dtype`` is the accumulator, as in ``sum``. A class-major
+    array passes its class ``axis`` (``-2`` for ``(..., K, n)``) and gets
+    the bits of the class-last reduction; numpy sums pairwise only along
+    the innermost axis, so for 8 or more classes it is copied class-last.
     """
-    k = x.shape[-1]
+    rows = x.swapaxes(axis, -1)
+    k = rows.shape[-1]
     if op is np.add and k >= 8:
-        return x.sum(axis=-1, dtype=dtype)
-    out = x[..., 0].astype(dtype or x.dtype)
+        return (rows if axis == -1 else rows.copy()).sum(axis=-1, dtype=dtype)
+    out = rows[..., 0].astype(dtype or x.dtype)
     if op is np.add:
         out += 0.0  # turns a -0.0 first column into +0.0, as numpy's start does
     for j in range(1, k):
-        op(out, x[..., j], out=out)
+        op(out, rows[..., j], out=out)
     return out
 
 

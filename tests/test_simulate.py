@@ -1,8 +1,12 @@
 """Synthetic data generation and the cross-supervision training loop."""
 
 import hashlib
+import json
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,9 @@ from segboost import (
 )
 import segboost.simulate
 from segboost.metrics import ConfusionMatrix
-from segboost.simulate import _box_mean, _log_softmax, _logp, _pseudo_targets, _soft_ce
+from segboost.simulate import (
+    _box_mean, _ce_grad, _log_softmax, _logp, _pair, _pair_logp, _pseudo_targets, _soft_ce,
+)
 from segboost.tensors import _over_classes
 
 
@@ -145,6 +151,17 @@ class TestGenerate:
             generate(0, count=1)
         with pytest.raises(ValidationError):
             generate(0, count=4, labeled_fraction=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise", -1.0), ("height", 0), ("width", 2.5), ("noise", math.nan),
+        ("labeled_fraction", math.nan), ("labeled_fraction", -0.5),
+    ])
+    def test_rejects_each_argument_that_cannot_run(self, field, value):
+        # SimConfig's rule and wording, raised before numpy sees the value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=rf"^{field} must be .+, got {value!r}$"):
+                generate(0, count=3, **{field: value})
 
 
 class TestModelAndLoss:
@@ -340,11 +357,16 @@ class TestTraining:
     def test_one_forward_per_model_per_iteration(self, monkeypatch):
         calls = []
         log_softmax = segboost.simulate._log_softmax
-        monkeypatch.setattr(segboost.simulate, "_log_softmax", lambda x: calls.append(x) or log_softmax(x))
+        monkeypatch.setattr(segboost.simulate, "_log_softmax",
+                            lambda x, *a, **kw: calls.append(x.shape) or log_softmax(x, *a, **kw))
         cfg = _small_cfg(iters=1, batch=4, val_images=3)
+        pixels = cfg.height * cfg.width
         train_cps(generate_from_config(cfg, 2), cfg, seed=2)
-        # labeled and unlabeled batch for each model, then one per model over the validation stack
-        assert len(calls) == 4 + 2
+        # one class-major pass over (labeled, unlabeled) x (model a, model b), then one over the validation stack
+        assert calls == [(2, 2, cfg.classes, 4 * pixels), (2, cfg.classes, 3 * pixels)]
+        calls.clear()
+        train_cps(generate_from_config(cfg, 2), replace(cfg, lam=0.0), seed=2)
+        assert calls == [(1, 2, cfg.classes, 4 * pixels), (2, cfg.classes, 3 * pixels)]
 
     def test_one_boost_pass_per_model_per_iteration(self, monkeypatch):
         calls = []
@@ -352,10 +374,38 @@ class TestTraining:
         monkeypatch.setattr(segboost.simulate, "_run", lambda *a, **kw: calls.append(a[0].shape) or run(*a, **kw))
         cfg = _small_cfg(iters=3, batch=4)
         train_cps(generate_from_config(cfg, 2), cfg, seed=2)
-        assert calls == [(4, cfg.height, cfg.width, cfg.classes)] * 6
+        # one pass per iteration over both models' unlabeled batches
+        assert calls == [(2 * 4, cfg.height, cfg.width, cfg.classes)] * 3
         calls.clear()
         train_cps(generate_from_config(cfg, 2), replace(cfg, lam=0.0), seed=2)
         assert calls == []
+
+    def test_result_models_own_their_arrays(self):
+        cfg = _small_cfg(iters=2)
+        res = train_cps(generate_from_config(cfg, 1), cfg, seed=1)
+        for model in (res.model_a, res.model_b):
+            for arr in (model.weights, model.bias, model.w_momentum, model.b_momentum):
+                assert arr.flags.owndata
+            assert model.weights.shape == (cfg.classes, 6) and model.bias.shape == (cfg.classes,)
+
+    # Traced peak of this run under the trainer with one forward and one boost
+    # pass per model (its temporaries stayed alive through evaluation), and the
+    # bound for the fused pair step: what it reaches, 2.61 MiB, rounded up.
+    SINGLE_MODEL_PEAK_MIB = 2.23
+    PAIR_PEAK_BOUND_MIB = 2.7
+
+    def test_traced_peak_of_a_short_run(self):
+        cfg = SimConfig(iters=20, batch=4, policy="ruv")
+        data = generate_from_config(cfg, 0)
+        train_cps(data, cfg, seed=0)
+        tracemalloc.start()
+        try:
+            train_cps(data, cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert self.PAIR_PEAK_BOUND_MIB <= 1.5 * self.SINGLE_MODEL_PEAK_MIB
+        assert peak <= self.PAIR_PEAK_BOUND_MIB
 
     @pytest.mark.parametrize("policy", ["ruv", "uniform", "none"])
     @pytest.mark.parametrize("harden", [False, True])
@@ -451,6 +501,12 @@ class TestAblate:
         rows_b = ablate(data, cfg, ["none"], [5])
         assert rows_a == rows_b
 
+    def test_benchmark_grid_matches_its_recorded_sha256(self):
+        # the cps-ablation grid of bench/workloads.py for sim seed 0
+        recorded = json.loads((Path(__file__).resolve().parents[1] / "bench" / "grid_sha256.json").read_text())
+        rows = ablate(None, SimConfig(seeds=(0,)), ["none", "uniform", "ruv"], [5])
+        assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == recorded["0"]
+
     def test_csv_shape(self):
         rows = [("ruv", 5, 0, 200, 0.934567891), ("none", 0, 1, 200, 1.0)]
         text = rows_to_csv(rows)
@@ -499,3 +555,47 @@ class TestClassAxisReductions:
         d = (np.exp(logp) - targets) / targets.shape[0]
         assert grad_w.tobytes() == (d.T @ features).tobytes()
         assert grad_b.tobytes() == d.sum(axis=0).tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_pair_kernels_match_row_major_formulas(self, k):
+        # oracle: the row-major (n, 2K) formulas of the two models side by side, each
+        # model's class block on its own; for K >= 2 also each model's own product,
+        # which at K = 1 is a matrix-vector product with other bits
+        rng = np.random.default_rng(200 + k)
+        n, f = 4096, 6
+        x = rng.normal(size=(n, f))
+        x[rng.random((n, f)) < 0.05] = -0.0
+        x[:7] = -0.0
+        pair = _pair([LinearModel.init(k, f, rng, scale=2.0) for _ in range(2)])
+        pair.bias[:] = rng.normal(size=2 * k)
+        logits = x @ pair.weights.T + pair.bias
+        assert (pair.weights @ x.T + pair.bias[:, None]).tobytes() == logits.T.tobytes(order="C")
+        blocks = [np.ascontiguousarray(logits[:, m * k:(m + 1) * k]) for m in (0, 1)]
+        if k > 1:
+            for m, block in enumerate(blocks):
+                rows = slice(m * k, (m + 1) * k)
+                assert (x @ pair.weights[rows].T + pair.bias[rows]).tobytes() == block.tobytes()
+        logp = _pair_logp(pair, x.T)
+        want_logp = []
+        for m, block in enumerate(blocks):
+            z = block - block.max(axis=-1, keepdims=True)
+            want_logp.append(z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
+            assert logp[m].T.tobytes(order="C") == want_logp[m].tobytes()
+        raw = rng.random((2, n, k))
+        raw[rng.random((2, n, k)) < 0.3] = 0.0
+        targets = raw / np.maximum(raw.sum(axis=-1, keepdims=True), 1e-12)
+        probs = np.exp(logp)
+        # one class of model a with d = -0.0 throughout: its bias gradient must still be +0.0
+        probs[0, 0] = -0.0
+        targets[0, :, 0] = 0.0
+        want_loss = [-float(np.mean((targets[m] * want_logp[m]).sum(axis=1))) for m in (0, 1)]
+        d = np.concatenate([(probs[m].T - targets[m]) / n for m in (0, 1)], axis=1)
+        loss, grad_w, grad_b = _ce_grad(logp.copy(), probs.copy(), targets.transpose(0, 2, 1), x)
+        assert repr(loss.tolist()) == repr(want_loss)
+        assert grad_w.tobytes() == (d.T @ x).tobytes()
+        assert grad_b.tobytes() == d.sum(axis=0).tobytes()
+        assert np.signbit(grad_b[0]) == np.signbit(d.sum(axis=0)[0]) == False  # noqa: E712
+        if k > 1:
+            for m in (0, 1):
+                d_m = np.ascontiguousarray(d[:, m * k:(m + 1) * k])
+                assert grad_w[m * k:(m + 1) * k].tobytes() == (d_m.T @ x).tobytes()
