@@ -10,7 +10,10 @@ One binary, subcommand style::
     segboost bounds --kl 0 --n 100 --delta 0.05
     segboost export-pgm labels.ten1 --out labels.pgm --classes 3
 
-``vote`` always takes the integral path; ``--fast`` is accepted for compatibility.
+``boost`` and ``conf`` read a 3-D float32 probability map; ``vote`` and ``eval``
+read one (argmax applied) or a 2-D uint16 label map; ``export-pgm`` reads only a
+label map. A ``--classes`` below 1 is a usage error. ``vote`` always takes the
+integral path; ``--fast`` is accepted for compatibility.
 
 Tensors travel as TEN1 files, tables as CSV (stdout or ``--out``).
 Exit codes: 0 success, 1 usage error, 2 data error.
@@ -25,27 +28,13 @@ from pathlib import Path
 import numpy as np
 
 from .booster import POLICIES, boost_report
-from .bounds import (
-    KL_MODES,
-    GaussianPosterior,
-    _risk_bound,
-    gap_bound,
-    kl_gaussian_product,
-)
+from .bounds import KL_MODES, GaussianPosterior, _risk_bound, gap_bound, kl_gaussian_product
 from .confidence import _image_weights, _neg_entropy
 from .metrics import ConfusionMatrix
 from .pgm import labels_to_gray, write_pgm
 from .simulate import SimConfig, TrainingDiverged, ablate, rows_to_csv
-from .tensors import (
-    IGNORE_LABEL,
-    TensorFormatError,
-    ValidationError,
-    argmax_labels,
-    one_hot,
-    read_tensor,
-    validate_probmap,
-    write_tensor,
-)
+from .tensors import (IGNORE_LABEL, TensorFormatError, ValidationError, _check_classes, argmax_labels, one_hot,
+                      read_tensor, validate_probmap, write_tensor)
 from .voting import BORDER_MODES, VicinitySpec, vote_integral
 
 
@@ -60,11 +49,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_list(text: str):
+def _as_usage(check, *args, **kwargs):
+    """``check(*args, **kwargs)``, with a ``ValidationError`` reported as a usage error."""
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+        return check(*args, **kwargs)
+    except ValidationError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _odd_int(text: str) -> int:
@@ -77,16 +67,33 @@ def _odd_int(text: str) -> int:
     return value
 
 
-def _odd_int_list(text: str):
-    return tuple(_odd_int(part) for part in text.split(","))
+def _list_of(item, what: str = ""):
+    """argparse type for a comma-separated list read part by part with ``item``.
+
+    Parts that read as ``""`` (blank names) are dropped; a part ``item``
+    cannot read rejects the whole list as not comma-separated ``what``.
+    """
+    def parse(text: str) -> tuple:
+        try:
+            values = [item(part) for part in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+        return tuple(v for v in values if v != "")
+    return parse
 
 
-def _str_list(text: str):
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+# The TEN1 file kinds the commands read, as (name, ndim, dtype).
+_PROBMAP = ("3-D f32 probability map", 3, np.float32)
+_LABELS = ("2-D u16 label map", 2, np.uint16)
 
 
-def _read_file(path: str) -> np.ndarray:
-    return read_tensor(Path(path).read_bytes())
+def _read_file(path: str, *kinds) -> np.ndarray:
+    """The tensor in a TEN1 file, which must be one of ``kinds``."""
+    arr = read_tensor(Path(path).read_bytes())
+    if not any(arr.ndim == ndim and arr.dtype == dtype for _, ndim, dtype in kinds):
+        wanted = " or ".join(name for name, _, _ in kinds)
+        raise ValidationError(f"{path}: expected a {wanted}, got {arr.dtype} with shape {arr.shape}")
+    return arr
 
 
 def _write_file(path: str, arr: np.ndarray) -> None:
@@ -100,13 +107,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_probmap(path: str) -> np.ndarray:
-    arr = _read_file(path)
-    if arr.ndim != 3 or arr.dtype != np.float32:
-        raise ValidationError(
-            f"expected a 3-D float32 probability map, got {arr.dtype} with shape {arr.shape}"
-        )
-    return arr
+def _print_metrics(**values) -> None:
+    sys.stdout.write("".join(["metric,value\n"] + [f"{name},{value:.6f}\n" for name, value in values.items()]))
+
+
+def _check_class_flag(classes: int | None, *most: int) -> None:
+    """A ``--classes`` below 1 is a usage error; a count above the maximum is left to the library."""
+    if classes is not None and classes < 1:
+        _as_usage(_check_classes, classes, *most)
 
 
 def _vicinity(args) -> VicinitySpec:
@@ -114,72 +122,52 @@ def _vicinity(args) -> VicinitySpec:
 
 
 def _cmd_boost(args) -> int:
-    report = boost_report(_load_probmap(args.input), _vicinity(args), args.policy)
+    report = boost_report(_read_file(args.input, _PROBMAP), _vicinity(args), args.policy)
     _write_file(args.out, report.labels if args.harden else report.boosted.data)
-    lines = [
-        "metric,value",
-        f"changed_fraction,{report.changed_fraction:.6f}",
-        f"mean_weight,{report.mean_weight:.6f}",
-        f"mean_confidence,{report.mean_confidence:.6f}",
-    ]
-    sys.stdout.write("\n".join(lines) + "\n")
+    _print_metrics(changed_fraction=report.changed_fraction, mean_weight=report.mean_weight,
+                   mean_confidence=report.mean_confidence)
     return 0
 
 
 def _cmd_conf(args) -> int:
     # One input check, then the kernels that skip it, as in booster._run.
-    pred = validate_probmap(_load_probmap(args.input))
+    pred = validate_probmap(_read_file(args.input, _PROBMAP))
     conf = _neg_entropy(pred)
     weights = _image_weights(conf[None])[0]
     if args.out:
         _write_file(args.out, conf.astype(np.float32))
-    lines = [
-        "metric,value",
-        f"conf_min,{conf.min():.6f}",
-        f"conf_max,{conf.max():.6f}",
-        f"conf_mean,{conf.mean():.6f}",
-        f"weight_mean,{float(weights.mean(dtype=np.float64)):.6f}",
-    ]
-    sys.stdout.write("\n".join(lines) + "\n")
+    _print_metrics(conf_min=conf.min(), conf_max=conf.max(), conf_mean=conf.mean(),
+                   weight_mean=float(weights.mean(dtype=np.float64)))
     return 0
 
 
 def _labels_from_file(path: str, classes: int | None):
     """Load a u16 label map or f32 probability map (argmax applied)."""
-    arr = _read_file(path)
-    if arr.ndim == 3 and arr.dtype == np.float32:
-        labels = argmax_labels(arr)
-        k = arr.shape[2]
-    elif arr.ndim == 2 and arr.dtype == np.uint16:
+    _check_class_flag(classes)
+    arr = _read_file(path, _LABELS, _PROBMAP)
+    if arr.ndim == 3:
+        labels, k = argmax_labels(arr), arr.shape[2]
+    else:
         labels = arr
         valid = labels[labels != IGNORE_LABEL]
         if valid.size == 0 and classes is None:
             raise ValidationError("label map is all void; pass --classes")
         k = int(valid.max()) + 1 if valid.size else 0
-    else:
-        raise ValidationError(
-            f"expected a u16 label map or f32 probability map, got {arr.dtype} with shape {arr.shape}"
-        )
-    if classes is not None:
-        if classes < k:
-            raise ValidationError(f"--classes {classes} is below the largest label ({k - 1})")
-        k = classes
-    return labels, k
+    if classes is not None and classes < k:
+        raise ValidationError(f"--classes {classes} is below the largest label ({k - 1})")
+    return labels, k if classes is None else classes
 
 
 def _cmd_vote(args) -> int:
     labels, k = _labels_from_file(args.input, args.classes)
-    p_oh = one_hot(labels, k)
-    _write_file(args.out, vote_integral(p_oh, _vicinity(args)))
+    _write_file(args.out, vote_integral(one_hot(labels, k), _vicinity(args)))
     return 0
 
 
 def _cmd_eval(args) -> int:
     truth, k_t = _labels_from_file(args.truth, args.classes)
     pred, k_p = _labels_from_file(args.pred, args.classes)
-    k = args.classes if args.classes is not None else max(k_t, k_p)
-    cm = ConfusionMatrix(k)
-    cm.update(truth, pred)
+    cm = ConfusionMatrix(max(k_t, k_p)).update(truth, pred)
     lines = ["class,iou"]
     for c, iou in enumerate(cm.per_class_iou()):
         lines.append(f"{c},nan" if np.isnan(iou) else f"{c},{iou:.6f}")
@@ -188,37 +176,25 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+# simulate's SimConfig flags as (flag, field, type); a flag not given keeps SimConfig's default.
+_SIM_FLAGS = (
+    ("--lambda", "lam", float), ("--lr", "lr", float), ("--iters", "iters", int), ("--batch", "batch", int),
+    ("--eval-every", "eval_every", int), ("--images", "images", int), ("--height", "height", int),
+    ("--width", "width", int), ("--classes", "classes", int), ("--labeled-fraction", "labeled_fraction", float),
+    ("--noise", "noise", float),
+)
+
+
 def _cmd_simulate(args) -> int:
-    policies = args.policies if args.policies else (args.policy,)
+    policies = args.policies or (args.policy,)
     for policy in policies:
         if policy not in POLICIES:
             raise _UsageError(f"unknown policy {policy!r} (choose from {', '.join(POLICIES)})")
-    vicinities = args.vicinities if args.vicinities else (args.vicinity,)
-    if args.seeds:
-        seeds = args.seeds
-    elif args.seed is not None:
-        seeds = (args.seed,)
-    else:
-        seeds = (0, 1, 2, 3, 4)
-    try:
-        config = SimConfig(
-            lam=args.lam,
-            lr=args.lr,
-            iters=args.iters,
-            batch=args.batch,
-            vicinity=VicinitySpec(vicinities[0], vicinities[0], args.border),
-            seeds=tuple(seeds),
-            eval_every=args.eval_every,
-            harden=args.harden,
-            images=args.images,
-            height=args.height,
-            width=args.width,
-            classes=args.classes,
-            labeled_fraction=args.labeled_fraction,
-            noise=args.noise,
-        )
-    except ValidationError as exc:
-        raise _UsageError(str(exc))
+    vicinities = args.vicinities or (args.vicinity,)
+    seeds = args.seeds or (None if args.seed is None else (args.seed,))
+    given = dict(seeds=seeds, harden=args.harden, **{field: getattr(args, field) for _, field, _ in _SIM_FLAGS})
+    config = _as_usage(SimConfig, vicinity=VicinitySpec(vicinities[0], vicinities[0], args.border),
+                       **{field: value for field, value in given.items() if value is not None})
     rows = ablate(None, config, policies, vicinities)
     _emit(rows_to_csv(rows), args.out)
     return 0
@@ -229,8 +205,7 @@ def _cmd_bounds(args) -> int:
         raise _UsageError("pass exactly one of --kl or --mu-q/--mu-p")
     lines = ["quantity,mode,value"]
     if args.kl is not None:
-        kl = args.kl
-        mode = "-"
+        kl, mode = args.kl, "-"
     else:
         if args.mu_p is None:
             raise _UsageError("--mu-q requires --mu-p")
@@ -248,27 +223,16 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_export_pgm(args) -> int:
-    arr = _read_file(args.input)
-    if arr.ndim != 2 or arr.dtype != np.uint16:
-        raise ValidationError(
-            f"expected a 2-D u16 label map, got {arr.dtype} with shape {arr.shape}"
-        )
-    palette = np.array(args.palette, dtype=np.uint8) if args.palette else None
-    gray = labels_to_gray(arr, args.classes, palette)
+    _check_class_flag(args.classes, 256)
+    gray = labels_to_gray(_read_file(args.input, _LABELS), args.classes, args.palette)
     Path(args.out).write_bytes(write_pgm(gray))
     return 0
 
 
-def _float_list(text: str):
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-
-
 def _add_window_flags(p) -> None:
-    p.add_argument("--vicinity", type=_odd_int, default=5, help="odd square window size (default 5)")
-    p.add_argument("--border", choices=BORDER_MODES, default="clip")
+    p.add_argument("--vicinity", type=_odd_int, default=VicinitySpec.height,
+                   help=f"odd square window size (default {VicinitySpec.height})")
+    p.add_argument("--border", choices=BORDER_MODES, default=VicinitySpec.border)
 
 
 def build_parser() -> _Parser:
@@ -304,31 +268,22 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("simulate", help="cross-supervision ablation grid on synthetic data")
-    p.add_argument("--policies", type=_str_list, help="comma-separated policy list")
-    p.add_argument("--policy", choices=POLICIES, default="ruv")
-    p.add_argument("--vicinities", type=_odd_int_list, help="comma-separated window sizes")
-    p.add_argument("--seeds", type=_int_list)
+    p.add_argument("--policies", type=_list_of(str.strip), help="comma-separated policy list")
+    p.add_argument("--policy", choices=POLICIES, default=SimConfig.policy)
+    p.add_argument("--vicinities", type=_list_of(_odd_int), help="comma-separated window sizes")
+    p.add_argument("--seeds", type=_list_of(int, "integers"))
     p.add_argument("--seed", type=int)
-    p.add_argument("--lambda", dest="lam", type=float, default=1.5)
-    p.add_argument("--lr", type=float, default=SimConfig.lr)
-    p.add_argument("--iters", type=int, default=SimConfig.iters)
-    p.add_argument("--batch", type=int, default=SimConfig.batch)
-    p.add_argument("--eval-every", type=int, default=SimConfig.eval_every)
-    p.add_argument("--harden", action="store_true")
-    p.add_argument("--images", type=int, default=SimConfig.images)
-    p.add_argument("--height", type=int, default=SimConfig.height)
-    p.add_argument("--width", type=int, default=SimConfig.width)
-    p.add_argument("--classes", type=int, default=SimConfig.classes)
-    p.add_argument("--labeled-fraction", type=float, default=SimConfig.labeled_fraction)
-    p.add_argument("--noise", type=float, default=SimConfig.noise)
+    for flag, field, kind in _SIM_FLAGS:
+        p.add_argument(flag, dest=field, type=kind)
+    p.add_argument("--harden", action="store_true", default=None)
     _add_window_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("bounds", help="generalization bound calculators")
     p.add_argument("--kl", type=float, help="KL divergence value used directly")
-    p.add_argument("--mu-q", type=_float_list, help="posterior mean, comma-separated")
-    p.add_argument("--mu-p", type=_float_list, help="prior mean, comma-separated")
+    p.add_argument("--mu-q", type=_list_of(float, "floats"), help="posterior mean, comma-separated")
+    p.add_argument("--mu-p", type=_list_of(float, "floats"), help="prior mean, comma-separated")
     p.add_argument("--mode", choices=KL_MODES, default="paper")
     p.add_argument("--n", type=int, required=True, help="sample count")
     p.add_argument("--delta", type=float, default=0.05)
@@ -340,7 +295,7 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="u16 label map (TEN1)")
     p.add_argument("--out", required=True)
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--palette", type=_int_list, help="gray level per class, comma-separated")
+    p.add_argument("--palette", type=_list_of(int, "integers"), help="gray level per class, comma-separated")
     p.set_defaults(func=_cmd_export_pgm)
 
     return parser

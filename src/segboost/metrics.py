@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import IGNORE_LABEL, ValidationError
+from .tensors import IGNORE_LABEL, ValidationError, _check_classes
 
 
 class ConfusionMatrix:
@@ -15,8 +15,7 @@ class ConfusionMatrix:
     """
 
     def __init__(self, classes: int):
-        if classes < 1:
-            raise ValidationError(f"class count must be >= 1, got {classes}")
+        _check_classes(classes)
         self.classes = classes
         self.counts = np.zeros((classes, classes), dtype=np.uint64)
 

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import IGNORE_LABEL, LabelRangeError, ValidationError
+from .tensors import IGNORE_LABEL, ValidationError, _check_classes, _check_labels
 
 
 def label_palette(classes: int) -> np.ndarray:
     """Gray level per class, strictly increasing for classes <= 256."""
-    if not 1 <= classes <= 256:
-        raise ValidationError(f"palette supports 1..256 classes, got {classes}")
+    _check_classes(classes, 256)
     if classes == 1:
         return np.zeros(1, dtype=np.uint8)
     span = 254 if classes <= 255 else 255  # keep 255 for void when possible
@@ -25,35 +24,38 @@ def label_palette(classes: int) -> np.ndarray:
     return levels.astype(np.uint8)
 
 
-def labels_to_gray(labels: np.ndarray, classes: int, palette: np.ndarray | None = None) -> np.ndarray:
-    """Map a label map to gray levels; void pixels become 255."""
-    labels = np.asarray(labels)
-    palette = label_palette(classes) if palette is None else np.asarray(palette, dtype=np.uint8)
+def _palette(classes: int, palette) -> np.ndarray:
+    """The uint8 gray level per class: the default, or ``palette`` once it has one distinct level each."""
+    if palette is None:
+        return label_palette(classes)
+    _check_classes(classes, 256)
+    palette = np.asarray(palette)
     if palette.shape != (classes,):
         raise ValidationError(f"palette must have one gray level per class, got shape {palette.shape}")
+    if not np.isin(palette, np.arange(256)).all():
+        raise ValidationError(f"palette gray levels must be integers in 0..255, got {palette.tolist()}")
     if len(np.unique(palette)) != classes:
         raise ValidationError("palette gray levels must be distinct")
+    return palette.astype(np.uint8)
+
+
+def labels_to_gray(labels: np.ndarray, classes: int, palette: np.ndarray | None = None) -> np.ndarray:
+    """Map a label map to gray levels; void pixels become 255."""
+    palette = _palette(classes, palette)
+    labels = _check_labels(labels, classes)
     void = labels == IGNORE_LABEL
-    bad = ~void & (labels >= classes)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise LabelRangeError(int(r), int(c), int(labels[r, c]), classes)
     if void.any() and (palette == 255).any():
-        raise ValidationError(
-            "void pixels need gray 255, but the palette claims it for a class"
-        )
-    safe = np.where(void, 0, labels).astype(np.intp)
-    gray = palette[safe]
+        raise ValidationError("void pixels need gray 255, but the palette claims it for a class")
+    gray = palette[np.where(void, 0, labels).astype(np.intp)]
     gray[void] = 255
-    return gray.astype(np.uint8)
+    return gray
 
 
 def gray_to_labels(gray: np.ndarray, classes: int, palette: np.ndarray | None = None) -> np.ndarray:
     """Invert :func:`labels_to_gray`; 255 reads as void unless it is a class level."""
     gray = np.asarray(gray)
-    palette = label_palette(classes) if palette is None else np.asarray(palette, dtype=np.uint8)
     inverse = np.full(256, -1, dtype=np.int64)
-    inverse[palette.astype(np.intp)] = np.arange(classes)
+    inverse[_palette(classes, palette)] = np.arange(classes)
     if inverse[255] < 0:
         inverse[255] = IGNORE_LABEL
     out = inverse[gray.astype(np.intp)]

@@ -15,7 +15,8 @@ of the truth. Training runs them class-major, on both models at once: the
 pair's parameters are one ``(2K, F)`` matrix, its logits ``(2, K, n)``
 rows, and the bits are those of the row-major per-model formulas (class
 sums in order from +0.0 below 8 classes and pairwise from 8 on, bias
-gradients as sequential column sums). ``forward`` and
+gradients as sequential column sums) where the pair product keeps each
+model's bits (see ``_pair_logp``). ``forward`` and
 ``cross_entropy_and_grad`` keep the row-major ``(n, K)`` interface.
 
 Synthetic images are built from per-class Gaussian blob score fields
@@ -41,8 +42,8 @@ import numpy as np
 
 from .booster import POLICIES, _run
 from .metrics import ConfusionMatrix
-from .tensors import ValidationError, _over_classes, argmax_labels, one_hot
-from .voting import VicinitySpec, _is_int, _window_sums
+from .tensors import ValidationError, _is_int, _over_classes, argmax_labels, one_hot
+from .voting import VicinitySpec, _window_sums
 
 CSV_HEADER = "policy,vicinity,seed,iter,miou"
 
@@ -298,7 +299,8 @@ def _ce_grad(logp: np.ndarray, probs: np.ndarray, targets: np.ndarray, features:
     ``features`` is the ``(n, F)`` batch. Returns one loss per model and
     the gradients of all ``K`` or ``2K`` rows, ``(rows, F)`` and ``(rows,)``,
     with the bits of each model's row-major ``-mean(sum(t * logp, 1))``,
-    ``d.T @ x`` and ``d.sum(axis=0)`` for ``d = (p - t) / n`` and K >= 2.
+    ``d.T @ x`` and ``d.sum(axis=0)`` for ``d = (p - t) / n`` and K >= 2,
+    given the same ``logp`` (whose bits :func:`_pair_logp` states).
     That ``sum`` adds each column in order from +0.0; ``cumsum`` along a
     row does too, except that an all-zero row ends at -0.0, which
     ``+ 0.0`` turns into +0.0.
@@ -350,8 +352,9 @@ def _unpair(pair: LinearModel) -> list:
 def _pair_logp(pair: LinearModel, features_t: np.ndarray) -> np.ndarray:
     """Class-major log-probabilities ``(..., 2, K, n)`` of a pair on ``(..., F, n)`` features.
 
-    One product for both models; for K >= 2 its rows are bit-equal to
-    each model's row-major ``features @ weights.T``.
+    One product for both models. On numpy 2.4.6 with OpenBLAS its rows are
+    bit-equal to each model's row-major ``features @ weights.T`` for K from
+    2 to 5, and from K = 6 on only when n is a multiple of 8 or at most 192.
     """
     z = pair.weights @ features_t
     z += pair.bias[:, None]
@@ -429,7 +432,8 @@ def train_cps(data: SynthDataset, config: SimConfig, seed: int | None = None) ->
     unlabeled ``(2 * batch, H, W, K)`` stack (its swapped halves are the
     peers' targets, with the bytes of one ``boost`` call per image), one
     gradient product per batch half and one SGD step. Every bit is that of
-    one row-major :func:`cross_entropy_and_grad` per model and batch.
+    one row-major :func:`cross_entropy_and_grad` per model and batch as
+    far as :func:`_pair_logp` keeps them (always for K <= 5).
 
     Validation uses ``val_images`` images generated from ``data.seed + 1``
     (the images of :func:`generate`, which draws its split after them).

@@ -16,6 +16,7 @@ state, so all of it is safe to call from multiple threads.
 from __future__ import annotations
 
 import struct
+from numbers import Integral
 
 import numpy as np
 
@@ -48,13 +49,44 @@ class LabelRangeError(ValidationError):
         self.value = value
 
 
+def _is_int(value) -> bool:
+    """True for Python and NumPy integers, but not for bools."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_classes(classes, most: int = IGNORE_LABEL - 1) -> None:
+    """Raise ``ValidationError`` unless ``classes`` is an integer (not a bool) from 1 to ``most``."""
+    if not (_is_int(classes) and 1 <= classes <= most):
+        raise ValidationError(f"class count must be an integer from 1 to {most}, got {classes!r}")
+
+
+def _check_labels(labels, classes: int) -> np.ndarray:
+    """The label map as an array, after checking it is 2-D and integer.
+
+    Raises :class:`LabelRangeError` naming the first pixel whose label is
+    neither in ``[0, classes)`` nor ``IGNORE_LABEL``.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 2:
+        raise ValidationError(f"label map must be 2-D, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValidationError(f"label map must be integer-typed, got {labels.dtype}")
+    bad = (labels != IGNORE_LABEL) & (labels >= classes)
+    if labels.dtype.kind == "i":  # only signed maps can hold a negative label
+        bad |= labels < 0
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise LabelRangeError(int(r), int(c), int(labels[r, c]), classes)
+    return labels
+
+
 def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     """Expand a label map into a per-pixel one-hot map.
 
     Parameters
     ----------
     labels : (H, W) integer array, values in [0, classes) or IGNORE_LABEL
-    classes : number of classes K
+    classes : number of classes K, an integer from 1 to IGNORE_LABEL - 1
 
     Returns
     -------
@@ -63,17 +95,8 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     Raises :class:`LabelRangeError` naming the first pixel whose label is
     negative or ``>= classes``.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 2:
-        raise ValidationError(f"label map must be 2-D, got shape {labels.shape}")
-    if not (1 <= classes < IGNORE_LABEL):
-        raise ValidationError(f"class count must be in [1, {IGNORE_LABEL}), got {classes}")
-    bad = (labels != IGNORE_LABEL) & (labels >= classes)
-    if labels.dtype.kind == "i":  # only signed maps can hold a negative label
-        bad |= labels < 0
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise LabelRangeError(int(r), int(c), int(labels[r, c]), classes)
+    _check_classes(classes)
+    labels = _check_labels(labels, classes)
     # Every label is now a class index or void, which matches no class.
     return (labels[:, :, None] == np.arange(classes)).view(np.uint8)
 

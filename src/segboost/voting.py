@@ -26,18 +26,12 @@ denominators are not reduced for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .tensors import ValidationError
+from .tensors import ValidationError, _is_int
 
 BORDER_MODES = ("clip", "zero")
-
-
-def _is_int(value) -> bool:
-    """True for Python and NumPy integers, but not for bools."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass

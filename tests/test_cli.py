@@ -3,13 +3,17 @@
 import io
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import segboost.booster
+import segboost.cli
 from segboost import (
     IGNORE_LABEL,
+    SimConfig,
     argmax_labels,
     boost,
     boost_report,
@@ -19,7 +23,7 @@ from segboost import (
     VicinitySpec,
     write_tensor,
 )
-from segboost.cli import main
+from segboost.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -346,3 +350,124 @@ class TestExportPgm:
     def test_probmap_input_rejected(self, probmap, tmp_path):
         path, _ = probmap
         assert run_cli("export-pgm", str(path), "--out", str(tmp_path / "x"), "--classes", "3")[0] == 2
+
+
+def documented_command_lines():
+    """Every ``segboost ...`` line of the README's "Command line" block and of the cli docstring."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.splitlines() + segboost.cli.__doc__.splitlines()
+    return [line.split("#", 1)[0].split() for line in lines if line.strip().startswith("segboost ")]
+
+
+class TestDocumentedCommands:
+    def test_every_documented_line_parses(self):
+        argvs = documented_command_lines()
+        assert len(argvs) >= 14
+        for argv in argvs:
+            build_parser().parse_args(argv[1:])
+
+
+class TestSimulateFlags:
+    @pytest.fixture
+    def simulate(self, monkeypatch):
+        """Run ``simulate`` with flags; returns the config, policies and window sizes ablate got."""
+        calls = []
+
+        def fake_ablate(data, config, policies, vicinities):
+            calls.append((config, tuple(policies), tuple(vicinities)))
+            return []
+
+        monkeypatch.setattr(segboost.cli, "ablate", fake_ablate)
+
+        def run(*flags):
+            assert run_cli("simulate", *flags)[0] == 0
+            (call,) = calls
+            return call
+
+        return run
+
+    def test_no_flags_give_the_default_config(self, simulate):
+        assert simulate() == (SimConfig(), ("ruv",), (5,))
+
+    @pytest.mark.parametrize("flag, field, text, value", [
+        ("--lambda", "lam", "0.5", 0.5), ("--lr", "lr", "0.05", 0.05), ("--iters", "iters", "7", 7),
+        ("--batch", "batch", "2", 2), ("--eval-every", "eval_every", "3", 3), ("--images", "images", "9", 9),
+        ("--height", "height", "11", 11), ("--width", "width", "13", 13), ("--classes", "classes", "4", 4),
+        ("--labeled-fraction", "labeled_fraction", "0.25", 0.25), ("--noise", "noise", "0.1", 0.1),
+        ("--seed", "seeds", "7", (7,)), ("--seeds", "seeds", "3,1", (3, 1)), ("--harden", "harden", None, True),
+    ])
+    def test_each_flag_sets_its_field(self, simulate, flag, field, text, value):
+        config, _, _ = simulate(flag, *([text] if text else []))
+        assert config == replace(SimConfig(), **{field: value})
+
+    def test_window_flags_set_the_vicinity(self, simulate):
+        config, _, vicinities = simulate("--vicinity", "3", "--border", "zero")
+        assert config == replace(SimConfig(), vicinity=VicinitySpec(3, 3, "zero"))
+        assert vicinities == (3,)
+
+    def test_plural_flags_win(self, simulate):
+        config, policies, vicinities = simulate(
+            "--policy", "uniform", "--policies", "none,ruv", "--vicinity", "9", "--vicinities", "3,7",
+            "--seed", "8", "--seeds", "1,2",
+        )
+        assert (policies, vicinities) == (("none", "ruv"), (3, 7))
+        assert config == replace(SimConfig(), seeds=(1, 2), vicinity=VicinitySpec(3, 3))
+
+    def test_names_drop_blank_items(self, simulate):
+        assert simulate("--policies", " none, ,ruv,")[1] == ("none", "ruv")
+
+    @pytest.mark.parametrize("args", [
+        ("simulate", "--seeds", "1,,2"), ("simulate", "--vicinities", "3,,5"), ("simulate", "--seeds", "1,x"),
+        ("bounds", "--mu-q", "1,,2", "--mu-p", "0,0", "--n", "5"),
+        ("export-pgm", "in.ten1", "--out", "o.pgm", "--classes", "3", "--palette", "0,,2"),
+    ])
+    def test_numbers_reject_blank_items(self, args):
+        code, out, err = run_cli(*args)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: argument --")
+
+
+class TestInputRules:
+    @pytest.fixture
+    def command(self, labelmap, tmp_path):
+        path, _ = labelmap
+
+        def argv(name, source=path):
+            return {
+                "boost": ["boost", str(source), "--out", str(tmp_path / "b.ten1")],
+                "conf": ["conf", str(source)],
+                "vote": ["vote", str(source), "--out", str(tmp_path / "v.ten1")],
+                "eval": ["eval", str(source), str(source)],
+                "export-pgm": ["export-pgm", str(source), "--out", str(tmp_path / "x.pgm"), "--classes", "3"],
+            }[name]
+
+        return argv
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("name", ["vote", "eval", "export-pgm"])
+    def test_classes_below_one_is_a_usage_error(self, command, name, value):
+        # vote and eval used to report "--classes 0 is below the largest label", exit 2
+        code, out, err = run_cli(*command(name), "--classes", value)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: class count must be an integer from 1 to ")
+
+    @pytest.mark.parametrize("name, array, wanted", [
+        ("boost", np.zeros((4, 4), np.uint16), "3-D f32 probability map"),
+        ("conf", np.zeros((4, 4, 3), np.uint16), "3-D f32 probability map"),
+        ("vote", np.zeros((4, 4), np.float32), "2-D u16 label map or 3-D f32 probability map"),
+        ("eval", np.zeros((4, 4, 3), np.uint8), "2-D u16 label map or 3-D f32 probability map"),
+        ("export-pgm", np.full((4, 4, 3), 1 / 3, np.float32), "2-D u16 label map"),
+    ], ids=["boost", "conf", "vote", "eval", "export-pgm"])
+    def test_wrong_file_kind_is_one_data_error(self, command, tmp_path, name, array, wanted):
+        source = tmp_path / "wrong.ten1"
+        source.write_bytes(write_tensor(array))
+        code, out, err = run_cli(*command(name, source))
+        assert (code, out) == (2, "")
+        assert err == f"error: {source}: expected a {wanted}, got {array.dtype} with shape {array.shape}\n"
+
+    def test_palette_level_above_255_is_a_data_error(self, command):
+        # used to end in numpy's bare OverflowError
+        code, _, err = run_cli(*command("export-pgm"), "--palette", "0,10,300")
+        assert code == 2
+        assert err.startswith("error: palette gray levels must be integers in 0..255")

@@ -77,6 +77,12 @@ class TestConfusionMatrix:
     def test_empty_matrix_scores_zero(self):
         assert ConfusionMatrix(3).miou() == 0.0
 
+    @pytest.mark.parametrize("classes", [0, -1, 2.5, True, IGNORE_LABEL])
+    def test_rejects_bad_class_count(self, classes):
+        # 2.5 used to raise a bare TypeError from numpy
+        with pytest.raises(ValidationError, match="class count"):
+            ConfusionMatrix(classes)
+
     def test_label_out_of_range_rejected(self):
         cm = ConfusionMatrix(2)
         with pytest.raises(ValidationError):

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from segboost import (
     IGNORE_LABEL,
+    LabelRangeError,
     ValidationError,
     gray_to_labels,
     label_palette,
@@ -38,6 +39,12 @@ class TestPalette:
     def test_full_256_uses_every_level(self):
         np.testing.assert_array_equal(label_palette(256), np.arange(256, dtype=np.uint8))
 
+    @pytest.mark.parametrize("classes", [0, 257, 2.5, True])
+    def test_rejects_bad_class_count(self, classes):
+        # 2.5 used to give the non-monotone palette [0, 169, 82]
+        with pytest.raises(ValidationError, match="class count"):
+            label_palette(classes)
+
 
 class TestRoundTrip:
     def test_labels_survive(self):
@@ -63,6 +70,23 @@ class TestRoundTrip:
     def test_duplicate_palette_rejected(self):
         with pytest.raises(ValidationError):
             labels_to_gray(np.zeros((1, 1), dtype=np.uint16), 2, np.array([5, 5], dtype=np.uint8))
+        # gray_to_labels used to read gray 0 as class 1 here
+        with pytest.raises(ValidationError, match="distinct"):
+            gray_to_labels(np.zeros((1, 1), dtype=np.uint8), 3, np.array([0, 0, 10], dtype=np.uint8))
+
+    @pytest.mark.parametrize("convert", [labels_to_gray, gray_to_labels])
+    @pytest.mark.parametrize("palette", [[0, 10], [0, 10, 20, 30]], ids=["short", "long"])
+    def test_palette_of_wrong_length_rejected(self, convert, palette):
+        # gray_to_labels used to raise numpy's bare broadcast ValueError
+        with pytest.raises(ValidationError, match="one gray level per class"):
+            convert(np.zeros((1, 1), dtype=np.uint8), 3, np.array(palette))
+
+    @pytest.mark.parametrize("palette", [[0, 10, 300], [-1, 10, 20], [0.5, 10, 20]])
+    def test_palette_level_outside_gray_range_rejected(self, palette):
+        # 300 used to wrap to gray 44 and -1 to 255
+        for convert in (labels_to_gray, gray_to_labels):
+            with pytest.raises(ValidationError, match="0..255"):
+                convert(np.zeros((1, 1), dtype=np.uint8), 3, np.array(palette))
 
     def test_void_rejected_when_palette_claims_white(self):
         labels = np.array([[IGNORE_LABEL]], dtype=np.uint16)
@@ -79,6 +103,13 @@ class TestRoundTrip:
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValidationError):
             labels_to_gray(np.array([[9]], dtype=np.uint16), 3)
+        # -1 used to take the last class's gray
+        with pytest.raises(LabelRangeError, match="negative"):
+            labels_to_gray(np.array([[-1, 0]]), 3)
+        # a float map used to be truncated, a bool map read as 0 and 1
+        for labels in ([[0.7, 1.2]], [[True, False]]):
+            with pytest.raises(ValidationError, match="integer"):
+                labels_to_gray(np.array(labels), 3)
 
 
 class TestPgmBytes:

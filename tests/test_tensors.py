@@ -63,6 +63,16 @@ class TestOneHot:
             one_hot(labels, 0)
         with pytest.raises(ValidationError):
             one_hot(labels, IGNORE_LABEL)
+        # 2.5 used to build 3 classes, and True one
+        for classes in (2.5, True):
+            with pytest.raises(ValidationError, match="class count"):
+                one_hot(labels, classes)
+
+    @pytest.mark.parametrize("labels", [[[0.5, 1.0]], [[True, False]]], ids=["float", "bool"])
+    def test_rejects_labels_that_are_not_integers(self, labels):
+        # 0.5 used to give an all-zero row, read as void, and 1.0 class 1
+        with pytest.raises(ValidationError, match="integer"):
+            one_hot(np.array(labels), 3)
 
     def test_argmax_roundtrip(self):
         rng = np.random.default_rng(3)
