@@ -23,19 +23,24 @@ never builds a float64 one-hot: it scales the votes by ``1 - W`` and adds
 non-negative votes gives the same bits as the formula above.
 
 One internal pipeline serves :func:`boost`, :func:`boost_report` and the
-simulator: it boosts an ``(N, H, W, K)`` stack of maps, and the public
-functions pass their single map as a stack of one. Every image of a
-stack gets the bytes a call of its own would give.
+simulator, and it takes the class axis. The public functions pass their
+single ``(H, W, K)`` map as a class-last stack of one; the simulator
+passes its class-major ``(2, K, batch, H, W)`` probabilities as they are,
+and there each class-axis stage runs K whole-plane operations. Every
+image of a stack gets the bytes a call of its own would give, in either
+layout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .confidence import _image_weights, _neg_entropy
-from .tensors import ValidationError, _argmax, _check_shape, one_hot, validate_probmap
+from .tensors import (ValidationError, _argmax, _check_planes, _check_shape, _one_hot_planes, one_hot,
+                      validate_probmap)
 from .voting import VicinitySpec, vote_integral, vote_uniform
 
 POLICIES = ("ruv", "uniform", "none")
@@ -93,38 +98,67 @@ def blend(p_oh: np.ndarray, votes: np.ndarray, weights: np.ndarray) -> np.ndarra
     return mixed.astype(np.float32)
 
 
-def _run(stack, vicinity: VicinitySpec, policy: str, report: bool):
-    """Boost an ``(N, H, W, K)`` stack, each stage once for all its images.
+def _blend_planes(p_oh: np.ndarray, votes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """:func:`blend` of ``(K, ..., H, W)`` one-hot and vote planes with ``(..., H, W)`` weights.
 
-    Returns ``(labels, boosted, confidence, weights, votes)``, each in the
-    tall ``(N*H, W, ...)`` layout, so for one image the ``(H, W, ...)``
-    shapes. The pixel-wise stages run on the tall view. Votes come from one
-    window-sum pass over the stack laid out as ``(H, W, N*K)`` channels;
-    window sums never mix channels, so no image bleeds into another. The
-    min-max weights are per image. Under ``none`` the votes are the one-hot
-    label, and confidence and weights are ``None`` unless ``report`` asks
-    for them.
+    It adds ``W * one_hot`` unmasked: the scaled votes are never -0.0 and
+    ``W * 0`` is +0.0, so the planes off the label gain no bit.
+    """
+    mixed = np.multiply(1.0 - weights.astype(np.float64), votes, dtype=np.float64)
+    mixed += p_oh * weights
+    return mixed.astype(np.float32)
+
+
+def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -1):
+    """Boost a stack of maps with its class ``axis``, each stage once for all its images.
+
+    Returns ``(labels, boosted, confidence, weights, votes)``. A class-last
+    stack, ``(N, H, W, K)`` with ``axis=-1``, takes the class-last kernels
+    (``np.argmax``, :func:`one_hot`, :func:`blend`) on the tall
+    ``(N*H, W, K)`` view, and every output comes tall, so for one image in
+    the ``(H, W, ...)`` shapes. A class-major stack has its pixel axes last,
+    as the simulator's ``(2, K, batch, H, W)``, and each class-axis stage
+    runs K whole-plane operations; the outputs keep the stack's layout
+    (labels, confidence and weights without the class axis). Every array
+    holds the bytes the other layout gives for the same maps.
+
+    Votes come from one window-sum pass over the one-hot laid out as
+    ``(H, W, channels)``, one channel per image and class; window sums
+    never mix channels, so no image bleeds into another. The min-max
+    weights are per image. Under ``none`` the votes are the one-hot label,
+    and confidence and weights are ``None`` unless ``report`` asks for them.
     """
     if policy not in POLICIES:
         raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
-    n, h, w, k = stack.shape
     # One check for NaN, range and row sums; the kernels below skip it.
-    pred = validate_probmap(stack.reshape(n * h, w, k))
-    labels = _argmax(pred)
-    p_oh = one_hot(labels, k)
+    last = axis == -1
+    if last:
+        n, h, w, k = stack.shape
+        pred = validate_probmap(stack.reshape(n * h, w, k))
+    else:
+        k, (h, w) = stack.shape[axis], stack.shape[-2:]
+        pred = _check_planes(stack, axis)
+    labels = _argmax(pred, axis)
+    p_oh = one_hot(labels, k) if last else _one_hot_planes(labels, k)  # (N*H, W, K) or (K, ..., H, W)
     conf = weights = None
     if policy == "none":
         votes = p_oh.astype(np.float32)
     elif policy == "uniform":
-        votes = vote_uniform(p_oh)
+        votes = vote_uniform(p_oh) if last else np.full(p_oh.shape, 1.0 / k, dtype=np.float32)
     else:
-        channels = p_oh.reshape(n, h, w, k).transpose(1, 2, 0, 3).reshape(h, w, n * k)
-        votes = vote_integral(channels, vicinity).reshape(h, w, n, k)
-        votes = votes.transpose(2, 0, 1, 3).reshape(n * h, w, k)
+        pixel_axes = (1, 2) if last else (-2, -1)  # of (N, H, W, K) or (K, ..., H, W)
+        grid = np.moveaxis(p_oh.reshape(n, h, w, k) if last else p_oh.view(np.uint8), pixel_axes, (0, 1))
+        votes = vote_integral(grid.reshape(h, w, math.prod(grid.shape[2:])), vicinity).reshape(grid.shape)
+        votes = np.moveaxis(votes, (0, 1), pixel_axes).reshape(p_oh.shape)
     if policy != "none" or report:
-        conf = _neg_entropy(pred)
-        weights = _image_weights(conf.reshape(n, h, w)).reshape(n * h, w)
-    data = votes if policy == "none" else blend(p_oh, votes, weights)
+        conf = _neg_entropy(pred, axis)
+        weights = _image_weights(conf.reshape(n, h, w)).reshape(conf.shape) if last else _image_weights(conf)
+    if policy == "none":
+        data = votes
+    else:
+        data = (blend if last else _blend_planes)(p_oh, votes, weights)
+    if not last:
+        data, votes = np.moveaxis(data, 0, axis), np.moveaxis(votes, 0, axis)
     return labels, data, conf, weights, votes
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,16 +56,6 @@ def _as_usage(check, *args, **kwargs):
         return check(*args, **kwargs)
     except ValidationError as exc:
         raise _UsageError(str(exc)) from None
-
-
-def _odd_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1 or value % 2 == 0:
-        raise argparse.ArgumentTypeError(f"window size must be odd and >= 1, got {value}")
-    return value
 
 
 def _list_of(item, what: str = ""):
@@ -117,8 +108,10 @@ def _check_class_flag(classes: int | None, *most: int) -> None:
         _as_usage(_check_classes, classes, *most)
 
 
-def _vicinity(args) -> VicinitySpec:
-    return VicinitySpec(args.vicinity, args.vicinity, args.border)
+def _vicinity(args, size: int | None = None) -> VicinitySpec:
+    """The square window of ``size`` (default ``--vicinity``) and ``--border``; a bad size is a usage error."""
+    size = args.vicinity if size is None else size
+    return _as_usage(VicinitySpec, size, size, args.border)
 
 
 def _cmd_boost(args) -> int:
@@ -187,14 +180,14 @@ _SIM_FLAGS = (
 
 def _cmd_simulate(args) -> int:
     policies = args.policies or (args.policy,)
-    for policy in policies:
-        if policy not in POLICIES:
-            raise _UsageError(f"unknown policy {policy!r} (choose from {', '.join(POLICIES)})")
     vicinities = args.vicinities or (args.vicinity,)
+    windows = [_vicinity(args, size) for size in vicinities]  # every size checked before any cell runs
     seeds = args.seeds or (None if args.seed is None else (args.seed,))
     given = dict(seeds=seeds, harden=args.harden, **{field: getattr(args, field) for _, field, _ in _SIM_FLAGS})
-    config = _as_usage(SimConfig, vicinity=VicinitySpec(vicinities[0], vicinities[0], args.border),
+    config = _as_usage(SimConfig, vicinity=windows[0],
                        **{field: value for field, value in given.items() if value is not None})
+    for policy in policies:  # SimConfig states the policy rule; every cell's config must pass it
+        _as_usage(replace, config, policy=policy)
     rows = ablate(None, config, policies, vicinities)
     _emit(rows_to_csv(rows), args.out)
     return 0
@@ -230,7 +223,7 @@ def _cmd_export_pgm(args) -> int:
 
 
 def _add_window_flags(p) -> None:
-    p.add_argument("--vicinity", type=_odd_int, default=VicinitySpec.height,
+    p.add_argument("--vicinity", type=int, default=VicinitySpec.height,
                    help=f"odd square window size (default {VicinitySpec.height})")
     p.add_argument("--border", choices=BORDER_MODES, default=VicinitySpec.border)
 
@@ -270,7 +263,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="cross-supervision ablation grid on synthetic data")
     p.add_argument("--policies", type=_list_of(str.strip), help="comma-separated policy list")
     p.add_argument("--policy", choices=POLICIES, default=SimConfig.policy)
-    p.add_argument("--vicinities", type=_list_of(_odd_int), help="comma-separated window sizes")
+    p.add_argument("--vicinities", type=_list_of(int, "integers"), help="comma-separated window sizes")
     p.add_argument("--seeds", type=_list_of(int, "integers"))
     p.add_argument("--seed", type=int)
     for flag, field, kind in _SIM_FLAGS:

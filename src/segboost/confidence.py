@@ -39,15 +39,15 @@ def confidence(pred: np.ndarray) -> np.ndarray:
     return _neg_entropy(pred)
 
 
-def _neg_entropy(pred: np.ndarray) -> np.ndarray:
-    """The confidence kernel over the last axis, for a map already checked."""
+def _neg_entropy(pred: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The confidence kernel over the class ``axis``, for a map already checked."""
     # Both ufuncs compute in float64 straight from ``pred`` and touch only
     # positive entries, so zeros (and anything else not > 0) add exactly 0.
     positive = pred > 0.0
     terms = np.zeros(pred.shape)
     np.log(pred, out=terms, where=positive, dtype=np.float64)
     np.multiply(terms, pred, out=terms, where=positive, dtype=np.float64)
-    return _over_classes(np.add, terms)
+    return _over_classes(np.add, terms, axis=axis)
 
 
 def adaptive_weights(conf: np.ndarray) -> np.ndarray:
@@ -75,15 +75,15 @@ def adaptive_weights(conf: np.ndarray) -> np.ndarray:
 
 
 def _image_weights(planes: np.ndarray) -> np.ndarray:
-    """:func:`adaptive_weights` of each finite plane of an ``(N, H, W)`` stack, as float32.
+    """:func:`adaptive_weights` of each finite plane of an ``(..., H, W)`` stack, as float32.
 
     ``(conf - min) / (max - min)`` per plane in float64, and 1 on a plane
     whose extremes are equal.
     """
     if planes.size == 0:
         raise ValidationError("confidence mask selects no pixels")
-    lo = planes.min(axis=(1, 2), keepdims=True)
-    span = planes.max(axis=(1, 2), keepdims=True) - lo  # finite, so 0 exactly when max == min
+    lo = planes.min(axis=(-2, -1), keepdims=True)
+    span = planes.max(axis=(-2, -1), keepdims=True) - lo  # finite, so 0 exactly when max == min
     w = np.ones(planes.shape)
     np.divide(planes - lo, span, out=w, where=span != 0)
     return w.astype(np.float32)

@@ -52,8 +52,20 @@ def labels_to_gray(labels: np.ndarray, classes: int, palette: np.ndarray | None 
 
 
 def gray_to_labels(gray: np.ndarray, classes: int, palette: np.ndarray | None = None) -> np.ndarray:
-    """Invert :func:`labels_to_gray`; 255 reads as void unless it is a class level."""
+    """Invert :func:`labels_to_gray`; 255 reads as void unless it is a class level.
+
+    ``gray`` is a 2-D integer plane (bool is not an integer here) of levels
+    in 0..255; anything else raises :class:`ValidationError`.
+    """
     gray = np.asarray(gray)
+    if gray.ndim != 2:
+        raise ValidationError(f"gray plane must be 2-D, got shape {gray.shape}")
+    if gray.dtype.kind not in "iu":
+        raise ValidationError(f"gray plane must be integer-typed, got {gray.dtype}")
+    outside = (gray < 0) | (gray > 255)
+    if outside.any():
+        r, c = np.argwhere(outside)[0]
+        raise ValidationError(f"gray level {int(gray[r, c])} at ({r}, {c}) is outside 0..255")
     inverse = np.full(256, -1, dtype=np.int64)
     inverse[_palette(classes, palette)] = np.arange(classes)
     if inverse[255] < 0:

@@ -42,17 +42,21 @@ import numpy as np
 
 from .booster import POLICIES, _run
 from .metrics import ConfusionMatrix
-from .tensors import ValidationError, _is_int, _over_classes, argmax_labels, one_hot
+from .tensors import ValidationError, _argmax, _is_int, _one_hot_planes, _over_classes, argmax_labels, one_hot
 from .voting import VicinitySpec, _window_sums
 
 CSV_HEADER = "policy,vicinity,seed,iter,miou"
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss goes non-finite; carries the 1-based iteration."""
+    """Raised when training goes non-finite; carries the 1-based iteration.
 
-    def __init__(self, iteration: int, loss: float):
-        super().__init__(f"non-finite loss {loss!r} at iteration {iteration}")
+    ``cause`` says what went non-finite first: a loss, the probabilities
+    the boost pass checks, or the parameters evaluation checks.
+    """
+
+    def __init__(self, iteration: int, cause: str):
+        super().__init__(f"{cause} at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -381,16 +385,17 @@ def evaluate_pair(model_a: LinearModel, model_b: LinearModel, data: SynthDataset
 
 
 def _pseudo_targets(probs: np.ndarray, config: SimConfig) -> np.ndarray:
-    """Boosted soft targets of ``(N, H, W, K)`` probabilities as ``(N*H*W, K)`` rows.
+    """Boosted soft targets of a class-major ``(models, K, batch, H, W)`` stack, in its layout.
 
-    One boost pass covers the whole stack, with the bytes of a ``boost``
-    call per image; ``harden`` takes the argmax of the stack once.
+    One boost pass covers the whole stack, with the float32 bytes of a
+    ``boost`` call per image, which the float64 loss and gradient hold
+    exactly; ``harden`` takes their argmax and one-hot once, on the same
+    class planes.
     """
-    k = probs.shape[-1]
-    soft = _run(probs, config.vicinity, config.policy, report=False)[1]
+    soft = _run(probs, config.vicinity, config.policy, report=False, axis=1)[1]
     if config.harden:
-        soft = one_hot(argmax_labels(soft), k)
-    return soft.reshape(-1, k).astype(np.float64)
+        soft = np.moveaxis(_one_hot_planes(_argmax(soft, 1), probs.shape[1]), 0, 1)
+    return soft
 
 
 def _pair_step(pair: LinearModel, features: np.ndarray, truth: np.ndarray, config: SimConfig):
@@ -399,6 +404,10 @@ def _pair_step(pair: LinearModel, features: np.ndarray, truth: np.ndarray, confi
     ``features`` holds the labeled batch's ``(batch, H, W, F)`` images and,
     when ``lam > 0``, the unlabeled batch's after them; ``truth`` holds the
     labeled batch's ``(K, n)`` one-hot rows, the targets of both models.
+    The unlabeled probabilities go to the boost pass as a class-major
+    ``(2, K, batch, H, W)`` view, and its targets come back in that layout:
+    with the halves swapped, they are the ``(2, K, n)`` rows each model
+    learns from, with no transpose copy.
     """
     k, n = truth.shape
     x = features.reshape(-1, n, features.shape[-1])
@@ -406,9 +415,8 @@ def _pair_step(pair: LinearModel, features: np.ndarray, truth: np.ndarray, confi
     probs = np.exp(logp)
     targets = [truth]
     if config.lam > 0.0:
-        # both models' unlabeled maps as one stack; each model learns from the other's half
-        stack = probs[1].transpose(0, 2, 1).reshape((-1,) + features.shape[1:3] + (k,))
-        targets.append(_pseudo_targets(stack, config).reshape(2, n, k)[::-1].transpose(0, 2, 1))
+        unlabeled = probs[1].reshape((2, k, -1) + features.shape[1:3])
+        targets.append(_pseudo_targets(unlabeled, config)[::-1].reshape(2, k, n))
     steps = [_ce_grad(logp[i], probs[i], y, x[i]) for i, y in enumerate(targets)]
     if len(steps) == 1:
         return steps[0]
@@ -429,15 +437,17 @@ def train_cps(data: SynthDataset, config: SimConfig, seed: int | None = None) ->
     labeled and unlabeled batches one ``(halves, n, F)`` block, and each
     iteration takes one product for the ``(halves, 2, K, n)`` logits, one
     log-softmax over the class axis, one boost pass over both models'
-    unlabeled ``(2 * batch, H, W, K)`` stack (its swapped halves are the
-    peers' targets, with the bytes of one ``boost`` call per image), one
-    gradient product per batch half and one SGD step. Every bit is that of
-    one row-major :func:`cross_entropy_and_grad` per model and batch as
-    far as :func:`_pair_logp` keeps them (always for K <= 5).
+    unlabeled probabilities as a class-major ``(2, K, batch, H, W)`` view
+    (its swapped halves are the peers' targets, with the bytes of one
+    ``boost`` call per image), one gradient product per batch half and one
+    SGD step. Every bit is that of one row-major
+    :func:`cross_entropy_and_grad` per model and batch as far as
+    :func:`_pair_logp` keeps them (always for K <= 5).
 
     Validation uses ``val_images`` images generated from ``data.seed + 1``
     (the images of :func:`generate`, which draws its split after them).
-    Raises :class:`TrainingDiverged` on a non-finite loss.
+    Raises :class:`TrainingDiverged`, at any ``lam``, once a loss, the
+    probabilities or the parameters go non-finite.
     """
     if seed is None:
         seed = data.seed
@@ -458,18 +468,23 @@ def train_cps(data: SynthDataset, config: SimConfig, seed: int | None = None) ->
         pick = rng_l.integers(0, len(labeled), size=config.batch)
         images = data.labeled_idx[pick]
         if config.lam > 0.0:
-            _check_finite(pair)
             batch_u = data.unlabeled_idx[rng_u.integers(0, len(data.unlabeled_idx), size=config.batch)]
             images = np.append(images, batch_u)
-        loss, grad_w, grad_b = _pair_step(pair, data.features[images], truth[:, pick].reshape(k, -1), config)
+        try:  # the boost pass's check fails only on the NaN probabilities of a diverged pair
+            loss, grad_w, grad_b = _pair_step(pair, data.features[images], truth[:, pick].reshape(k, -1), config)
+        except ValidationError as exc:
+            raise TrainingDiverged(t, str(exc)) from None
         loss = tuple(loss.tolist())
         for value in loss:
             if not math.isfinite(value):
-                raise TrainingDiverged(t, value)
+                raise TrainingDiverged(t, f"non-finite loss {value!r}")
         _sgd_step(pair, grad_w, grad_b, config)
         losses.append(loss)
         if t % config.eval_every == 0 or t == config.iters:
-            history.append((t, evaluate_pair(*_unpair(pair), val)))
+            try:  # evaluation's check fails only on the non-finite parameters of a diverged step
+                history.append((t, evaluate_pair(*_unpair(pair), val)))
+            except ValidationError as exc:
+                raise TrainingDiverged(t, str(exc)) from None
     return TrainResult(*_unpair(pair), history, losses)
 
 

@@ -110,10 +110,13 @@ def _over_classes(op, x: np.ndarray, dtype=None, axis: int = -1) -> np.ndarray:
     order, starting from +0.0; 8 or more it sums pairwise, so those keep
     ``sum``. ``dtype`` is the accumulator, as in ``sum``. A class-major
     array passes its class ``axis`` (``-2`` for ``(..., K, n)``) and gets
-    the bits of the class-last reduction; numpy sums pairwise only along
-    the innermost axis, so for 8 or more classes it is copied class-last.
+    the bits of the class-last reduction, with the other axes in order;
+    numpy sums pairwise only along the innermost axis, so for 8 or more
+    classes it is copied class-last.
     """
-    rows = x.swapaxes(axis, -1)
+    order = list(range(x.ndim))
+    order.append(order.pop(axis))
+    rows = x.transpose(order)  # np.moveaxis(x, axis, -1) at about a quarter of its call cost
     k = rows.shape[-1]
     if op is np.add and k >= 8:
         return (rows if axis == -1 else rows.copy()).sum(axis=-1, dtype=dtype)
@@ -151,9 +154,29 @@ def argmax_labels(pred: np.ndarray) -> np.ndarray:
     return _argmax(_check_map(pred))
 
 
-def _argmax(pred: np.ndarray) -> np.ndarray:
-    """The argmax kernel, for a map already checked for NaN."""
-    return np.argmax(pred, axis=-1).astype(np.uint16)
+def _argmax(pred: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The argmax kernel over the class ``axis``, for a map already checked for NaN.
+
+    A class-last map takes ``np.argmax``. Along any other axis it runs K
+    whole-plane steps: a strict ``>`` compare of each class plane with the
+    running maximum, so ties keep the lowest index, as in ``np.argmax``.
+    Class ``j`` exceeds every earlier label, so a ``maximum`` writes it
+    where its plane wins.
+    """
+    if axis == -1:
+        return np.argmax(pred, axis=-1).astype(np.uint16)
+    planes = np.moveaxis(pred, axis, 0)
+    best = planes[0]
+    labels = np.zeros(best.shape, dtype=np.uint16)
+    for j in range(1, len(planes)):
+        np.maximum(labels, (planes[j] > best) * np.uint16(j), out=labels)
+        best = np.maximum(best, planes[j])
+    return labels
+
+
+def _one_hot_planes(labels: np.ndarray, classes: int) -> np.ndarray:
+    """The ``(K, ...)`` bool planes ``labels == k`` of a label array whose labels are all class indices."""
+    return labels == np.arange(classes).reshape((classes,) + (1,) * labels.ndim)
 
 
 def validate_probmap(pred: np.ndarray) -> np.ndarray:
@@ -175,6 +198,21 @@ def validate_probmap(pred: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"class sum {sums[r, c]:.6f} at pixel ({r}, {c}) not within 1e-4 of 1"
         )
+    return pred
+
+
+def _check_planes(pred: np.ndarray, axis: int) -> np.ndarray:
+    """:func:`validate_probmap` of a stack whose class ``axis`` is not last; its other axes end in ``(H, W)``.
+
+    The checks run on the whole array. On a failure the stack is copied
+    class-last and tall, ``(images * H, W, K)``, for :func:`validate_probmap`
+    to raise, so the message names the pixel and class it names for the
+    class-last stack of the same maps.
+    """
+    in_range = (pred >= 0).all() and (pred <= 1).all()  # False on NaN
+    if not in_range or (np.abs(_over_classes(np.add, pred, np.float64, axis) - 1.0) > 1e-4).any():
+        last = np.moveaxis(pred, axis, -1)
+        validate_probmap(last.reshape((-1,) + last.shape[-2:]))
     return pred
 
 

@@ -24,6 +24,7 @@ from segboost import (
     vote_uniform,
 )
 from segboost.booster import _run
+from segboost.tensors import _argmax, _one_hot_planes
 
 
 def _random_probmap(rng, h, w, k):
@@ -175,6 +176,16 @@ class TestBoost:
             with pytest.raises(ValidationError, match=match):
                 run(pred, VicinitySpec(3, 3), policy)
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2)])
+    def test_empty_map_is_empty_or_rejected(self, policy, shape):
+        # an empty map has no confidence range to weight by; without weights it passes through
+        if policy == "none":
+            assert boost(np.zeros(shape, dtype=np.float32), policy=policy).data.shape == shape
+        else:
+            with pytest.raises(ValidationError):
+                boost(np.zeros(shape, dtype=np.float32), policy=policy)
+
     @given(shape=st.one_of(st.tuples(st.just(1), st.integers(1, 16)),
                            st.tuples(st.integers(1, 8), st.integers(1, 8))),
            classes=st.integers(1, 5), size=st.sampled_from([1, 3, 5, 9]),
@@ -269,6 +280,78 @@ class TestStackedRun:
         for bad, match in ((nan, "NaN"), (row, "class sum")):
             with pytest.raises(ValidationError, match=match):
                 _run(bad, VicinitySpec(3, 3), policy, report=False)
+
+
+@st.composite
+def _class_major_case(draw):
+    """A class-last ``(N, H, W, K)`` stack of maps with ties, exact zeros and maybe a constant image,
+    and a contiguous class-major copy of it with its class axis."""
+    models, batch = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    h = draw(st.integers(1, 5))
+    w = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 12))  # pairwise class sums from 8 on
+    # small integers make ties and exact zeros, large ones generic weights
+    raw = draw(arrays(np.int64, (models * batch, h, w, k), elements=st.integers(0, 3) | st.integers(0, 10**6)))
+    raw[..., 0] += raw.sum(axis=-1) == 0  # every row has mass
+    if draw(st.booleans()):
+        raw[0] = raw[0, 0, 0]  # one distribution everywhere: constant confidence, all weights 1
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    stack = (raw / raw.sum(axis=-1, keepdims=True)).astype(dtype)
+    if draw(st.booleans()):  # the simulator's (models, K, batch, H, W)
+        major, axis = np.moveaxis(stack.reshape(models, batch, h, w, k), -1, 1), 1
+    else:  # (K, N, H, W)
+        major, axis = np.moveaxis(stack, -1, 0), 0
+    return stack, np.ascontiguousarray(major), axis
+
+
+class TestClassMajorRun:
+    """``_run`` on a class-major stack gives the bytes of the class-last call on the same maps."""
+
+    @staticmethod
+    def _tall(array, class_axis):
+        """A class-major output in the tall layout of the class-last call."""
+        if class_axis is None:  # labels, confidence, weights: (..., H, W)
+            return array.reshape((-1,) + array.shape[-1:])
+        array = np.moveaxis(array, class_axis, -1)
+        return array.reshape((-1,) + array.shape[-2:])
+
+    @given(case=_class_major_case(), policy=st.sampled_from(POLICIES), border=st.sampled_from(["clip", "zero"]),
+           size=st.sampled_from([1, 3, 5, 15]), report=st.booleans())  # 15 is wider than every map
+    def test_same_bytes_as_the_class_last_call(self, case, policy, border, size, report):
+        stack, major, axis = case
+        v = VicinitySpec(size, size, border)
+        want = _run(stack, v, policy, report)
+        got = _run(major, v, policy, report, axis=axis)
+        for name, a, b, class_axis in zip(("labels", "boosted", "confidence", "weights", "votes"), want, got,
+                                          (None, axis, None, None, axis)):
+            if a is None:
+                assert b is None, name
+                continue
+            b = self._tall(b, class_axis)
+            assert (b.dtype, b.shape) == (a.dtype, a.shape), name
+            assert b.tobytes() == a.tobytes(), name
+        # harden: argmax and one-hot of the boosted label on the same planes
+        k = stack.shape[-1]
+        hard = np.moveaxis(_one_hot_planes(_argmax(got[1], axis), k), 0, axis)
+        assert self._tall(hard, axis).view(np.uint8).tobytes() == one_hot(argmax_labels(want[1]), k).tobytes()
+
+    @given(case=_class_major_case(), policy=st.sampled_from(POLICIES), fault=st.sampled_from(["nan", "range", "sum"]),
+           data=st.data())
+    def test_same_message_for_a_bad_image(self, case, policy, fault, data):
+        stack, _, axis = case
+        n, h, w, k = stack.shape
+        i, r, c, j = (data.draw(st.integers(0, m - 1)) for m in (n, h, w, k))
+        if fault == "sum":
+            stack[i, r, c] *= 1.01
+        else:
+            stack[i, r, c, j] = {"nan": np.nan, "range": data.draw(st.sampled_from([-0.25, 1.5]))}[fault]
+        major = np.ascontiguousarray(np.moveaxis(stack, -1, 0) if axis == 0 else np.moveaxis(stack[None], -1, 1))
+        v = VicinitySpec(3, 3)
+        with pytest.raises(ValidationError) as last:
+            _run(stack, v, policy, report=False)
+        with pytest.raises(ValidationError) as class_major:
+            _run(major, v, policy, report=False, axis=axis)
+        assert str(class_major.value) == str(last.value)
 
 
 class TestMemory:

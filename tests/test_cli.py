@@ -14,6 +14,7 @@ import segboost.cli
 from segboost import (
     IGNORE_LABEL,
     SimConfig,
+    ValidationError,
     argmax_labels,
     boost,
     boost_report,
@@ -86,6 +87,29 @@ class TestExitCodes:
         assert run_cli("frobnicate")[0] == 1
         assert run_cli("bounds", "--n", "100")[0] == 1
         assert run_cli("simulate", "--policies", "ruv,warp", "--iters", "1")[0] == 1
+
+    def test_window_and_policy_rules_are_worded_by_the_library(self, probmap, tmp_path, monkeypatch):
+        path, _ = probmap
+        monkeypatch.setattr(segboost.cli, "ablate", lambda *args: pytest.fail("a grid cell ran"))
+        out = str(tmp_path / "o")
+        for argv, rule in [
+            (("boost", str(path), "--out", out, "--vicinity", "4"), lambda: VicinitySpec(4, 4)),
+            (("vote", str(path), "--out", out, "--vicinity", "-1"), lambda: VicinitySpec(-1, -1)),
+            (("simulate", "--vicinities", "3,4"), lambda: VicinitySpec(4, 4)),
+            (("simulate", "--vicinity", "0"), lambda: VicinitySpec(0, 0)),
+            (("simulate", "--policies", "ruv,warp"), lambda: SimConfig(policy="warp")),
+        ]:
+            with pytest.raises(ValidationError) as info:
+                rule()
+            assert run_cli(*argv) == (1, "", f"usage error: {info.value}\n")
+
+    @pytest.mark.parametrize("lam", ["0", "1.5"])
+    def test_diverged_training_is_a_data_error(self, lam):
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli("simulate", "--lr", "1e100", "--iters", "5", "--images", "6",
+                                     "--labeled-fraction", "0.25", "--lambda", lam, "--seed", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.endswith(" at iteration 5\n")
 
     @pytest.mark.parametrize("flag, value", [
         ("--eval-every", "0"), ("--noise", "-1"), ("--lambda", "nan"), ("--batch", "0"),

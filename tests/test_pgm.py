@@ -100,6 +100,23 @@ class TestRoundTrip:
         with pytest.raises(ValidationError):
             gray_to_labels(gray, 2)
 
+    @pytest.mark.parametrize("gray, match", [
+        (np.array([[-1]]), "outside 0..255"),  # used to read as void
+        (np.array([[0, 300]]), "outside 0..255"),  # used to raise a bare IndexError
+        (np.array([[0.7]]), "integer"),  # used to read as class 0
+        (np.array([[True]]), "integer"),
+        (np.zeros(3, dtype=np.uint8), "2-D"),
+        (np.zeros((1, 1, 1), dtype=np.uint8), "2-D"),
+    ])
+    def test_gray_plane_rule(self, gray, match):
+        with pytest.raises(ValidationError, match=match):
+            gray_to_labels(gray, 3)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64, np.uint32])
+    def test_integer_gray_planes_of_valid_levels_still_read(self, dtype):
+        gray = np.array([[0, 127, 254, 255]], dtype=dtype)
+        np.testing.assert_array_equal(gray_to_labels(gray, 3), [[0, 1, 2, IGNORE_LABEL]])
+
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValidationError):
             labels_to_gray(np.array([[9]], dtype=np.uint16), 3)

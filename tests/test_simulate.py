@@ -289,6 +289,25 @@ class TestTraining:
                 train_cps(data, cfg, seed=0)
         assert 1 <= info.value.iteration <= 80
 
+    # lr=1e100 at 5 iterations: a NaN loss at lam=0, NaN probabilities in the
+    # boost pass at lam>0; at 4 iterations the last step's parameters are not
+    # finite when evaluation sees them; lr=1e20: an infinite loss or NaN probabilities
+    DIVERGING = {
+        "nan-loss": SimConfig(lr=1e100, iters=5, images=6, labeled_fraction=0.25),
+        "last-step": SimConfig(lr=1e100, iters=4, images=6, labeled_fraction=0.25),
+        "inf-loss": SimConfig(lr=1e20, iters=30),
+    }
+
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    @pytest.mark.parametrize("case", sorted(DIVERGING))
+    def test_every_lam_raises_training_diverged(self, case, lam):
+        cfg = replace(self.DIVERGING[case], lam=lam)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged) as info:
+                train_cps(generate_from_config(cfg, 0), cfg)
+        assert 1 <= info.value.iteration <= cfg.iters
+        assert str(info.value).endswith(f"at iteration {info.value.iteration}")
+
     def test_harden_and_policies_all_run(self):
         cfg = _small_cfg(iters=10, eval_every=10)
         data = generate_from_config(cfg, 1)
@@ -374,8 +393,8 @@ class TestTraining:
         monkeypatch.setattr(segboost.simulate, "_run", lambda *a, **kw: calls.append(a[0].shape) or run(*a, **kw))
         cfg = _small_cfg(iters=3, batch=4)
         train_cps(generate_from_config(cfg, 2), cfg, seed=2)
-        # one pass per iteration over both models' unlabeled batches
-        assert calls == [(2 * 4, cfg.height, cfg.width, cfg.classes)] * 3
+        # one pass per iteration over both models' unlabeled batches, class-major
+        assert calls == [(2, cfg.classes, 4, cfg.height, cfg.width)] * 3
         calls.clear()
         train_cps(generate_from_config(cfg, 2), replace(cfg, lam=0.0), seed=2)
         assert calls == []
@@ -390,9 +409,10 @@ class TestTraining:
 
     # Traced peak of this run under the trainer with one forward and one boost
     # pass per model (its temporaries stayed alive through evaluation), and the
-    # bound for the fused pair step: what it reaches, 2.61 MiB, rounded up.
+    # bound for the fused pair step with its class-major boost pass: what it
+    # reaches, 2.32 MiB, rounded up (2.61 MiB with a class-last boost pass).
     SINGLE_MODEL_PEAK_MIB = 2.23
-    PAIR_PEAK_BOUND_MIB = 2.7
+    PAIR_PEAK_BOUND_MIB = 2.4
 
     def test_traced_peak_of_a_short_run(self):
         cfg = SimConfig(iters=20, batch=4, policy="ruv")
@@ -421,8 +441,11 @@ class TestTraining:
             if harden:
                 soft = one_hot(argmax_labels(soft), 3).astype(np.float32)
             want.append(soft.reshape(-1, 3))
-        want = np.concatenate(want).astype(np.float64)
-        assert _pseudo_targets(probs, cfg).tobytes() == want.tobytes()
+        want = np.concatenate(want)
+        # the class-major stack of the five maps, as one model's half
+        got = _pseudo_targets(np.moveaxis(probs, -1, 0)[None], cfg)
+        assert got.shape == (1, 3, 5, 6, 8)
+        assert np.moveaxis(got[0], 0, -1).astype(np.float32).tobytes() == want.tobytes()
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValidationError):
