@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -34,8 +35,8 @@ from .confidence import _image_weights, _neg_entropy
 from .metrics import ConfusionMatrix
 from .pgm import labels_to_gray, write_pgm
 from .simulate import SimConfig, TrainingDiverged, ablate, rows_to_csv
-from .tensors import (IGNORE_LABEL, TensorFormatError, ValidationError, _check_classes, argmax_labels, one_hot,
-                      read_tensor, validate_probmap, write_tensor)
+from .tensors import (IGNORE_LABEL, TensorFormatError, ValidationError, _check_classes, _ten1_parts, argmax_labels,
+                      one_hot, read_tensor, validate_probmap)
 from .voting import BORDER_MODES, VicinitySpec, vote_integral
 
 
@@ -88,7 +89,11 @@ def _read_file(path: str, *kinds) -> np.ndarray:
 
 
 def _write_file(path: str, arr: np.ndarray) -> None:
-    Path(path).write_bytes(write_tensor(arr))
+    """Write an array as a TEN1 file: its header, then its buffer, with no copy of the file in memory."""
+    header, payload = _ten1_parts(arr)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload.data)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -294,10 +299,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of :func:`main`, built once per process; parsing never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -81,7 +81,7 @@ def _image_weights(planes: np.ndarray) -> np.ndarray:
     whose extremes are equal.
     """
     if planes.size == 0:
-        raise ValidationError("confidence mask selects no pixels")
+        raise ValidationError(f"confidence plane of shape {planes.shape[-2:]} has no pixels")
     lo = planes.min(axis=(-2, -1), keepdims=True)
     span = planes.max(axis=(-2, -1), keepdims=True) - lo  # finite, so 0 exactly when max == min
     w = np.ones(planes.shape)

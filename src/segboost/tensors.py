@@ -216,22 +216,26 @@ def _check_planes(pred: np.ndarray, axis: int) -> np.ndarray:
     return pred
 
 
-def write_tensor(arr: np.ndarray) -> bytes:
-    """Serialize an array to TEN1 bytes.
-
-    Layout: ``b"TEN1"``, 1 dtype byte (0=f32, 1=u16, 2=u8), 1 ndim byte,
-    ndim little-endian u64 dims, then the row-major little-endian payload.
-    """
+def _ten1_parts(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The TEN1 header of an array, and the array as the C-ordered little-endian payload that follows it."""
     arr = np.ascontiguousarray(arr)
     kind = arr.dtype.newbyteorder("<").str.lstrip("<|=")
     if kind not in _CODE_FOR_KIND:
         raise ValidationError(f"unsupported dtype {arr.dtype}; use float32, uint16, or uint8")
     if arr.ndim > 255:
         raise ValidationError("tensor rank exceeds 255")
-    header = struct.pack("<4sBB", _MAGIC, _CODE_FOR_KIND[kind], arr.ndim)
-    dims = struct.pack(f"<{arr.ndim}Q", *arr.shape)
-    payload = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-    return header + dims + payload
+    header = struct.pack(f"<4sBB{arr.ndim}Q", _MAGIC, _CODE_FOR_KIND[kind], arr.ndim, *arr.shape)
+    return header, arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+
+
+def write_tensor(arr: np.ndarray) -> bytes:
+    """Serialize an array to TEN1 bytes.
+
+    Layout: ``b"TEN1"``, 1 dtype byte (0=f32, 1=u16, 2=u8), 1 ndim byte,
+    ndim little-endian u64 dims, then the row-major little-endian payload.
+    """
+    header, payload = _ten1_parts(arr)
+    return header + payload.tobytes()
 
 
 def read_tensor(data: bytes) -> np.ndarray:

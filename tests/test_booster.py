@@ -20,9 +20,11 @@ from segboost import (
     boost_report,
     confidence,
     one_hot,
+    validate_probmap,
     vote_integral,
     vote_uniform,
 )
+import segboost.booster
 from segboost.booster import _run
 from segboost.tensors import _argmax, _one_hot_planes
 
@@ -87,6 +89,32 @@ class TestBlend:
             w64 = weights.astype(np.float64)[:, :, None]
             want = w64 * p_oh.astype(np.float64) + (1.0 - w64) * votes.astype(np.float64)
             assert blend(p_oh, votes, weights).tobytes() == want.astype(np.float32).tobytes()
+
+    def test_matches_the_masked_add_formula_bitwise(self):
+        # oracle: (1 - W) * votes in float64, W added where the one-hot is set, rounded once
+        rng = np.random.default_rng(13)
+        for trial in range(30):
+            h, w = rng.integers(1, 12, size=2)
+            k = 1 if trial < 5 else int(rng.integers(2, 8))
+            labels = rng.integers(0, k, size=(h, w)).astype(np.uint16)
+            labels[rng.random((h, w)) < 0.25] = IGNORE_LABEL
+            p_oh = one_hot(labels, k)
+            votes = rng.random((h, w, k)).astype(np.float32)
+            weights = rng.random((h, w)).astype(np.float32)
+            weights[rng.random((h, w)) < 0.3] = 0.0
+            weights[rng.random((h, w)) < 0.3] = 1.0
+            w64 = weights.astype(np.float64)[:, :, None]
+            want = np.multiply(1.0 - w64, votes, dtype=np.float64)
+            np.add(want, w64, out=want, where=p_oh.astype(bool))
+            if trial % 2:  # a non-contiguous array is blended by value too
+                votes = np.asfortranarray(votes)
+            assert blend(p_oh, votes, weights).tobytes() == want.astype(np.float32).tobytes()
+
+    def test_rows_with_two_set_entries_rejected(self):
+        p_oh = one_hot(np.zeros((2, 3), dtype=np.uint16), 3)
+        p_oh[1, 2, 1] = 1
+        with pytest.raises(ValidationError, match=r"pixel \(1, 2\) has 2 non-zero entries"):
+            blend(p_oh, vote_uniform(p_oh), np.ones((2, 3), dtype=np.float32))
 
     def test_shape_mismatch_rejected(self):
         p_oh = one_hot(np.zeros((2, 2), dtype=np.uint16), 2)
@@ -251,23 +279,24 @@ class TestStackedRun:
         stack = _stack(np.random.default_rng(50), 7, 9, 4)
         n, h, w, k = stack.shape
         v = VicinitySpec(*window, border)
-        labels, data, conf, weights, votes = _run(stack, v, policy, report=True)
-        assert data.shape == votes.shape == (n * h, w, k) and labels.shape == conf.shape == (n * h, w)
+        labels, data, conf, weights, vote_mass, after = _run(stack, v, policy, report=True)
+        assert data.shape == (n * h, w, k) and labels.shape == conf.shape == after.shape == (n * h, w)
+        assert vote_mass.shape == (n, k)
         for i, pred in enumerate(stack):
             rows = slice(i * h, (i + 1) * h)
             rep = boost_report(pred, v, policy)
             assert data[rows].tobytes() == boost(pred, v, policy).data.tobytes()
             assert data[rows].tobytes() == rep.boosted.data.tobytes()
             assert labels[rows].tobytes() == argmax_labels(pred).tobytes()
-            assert argmax_labels(data[rows]).tobytes() == rep.labels.tobytes()
+            assert after[rows].tobytes() == argmax_labels(data[rows]).tobytes() == rep.labels.tobytes()
             assert conf[rows].tobytes() == confidence(pred).tobytes()
             assert weights[rows].tobytes() == adaptive_weights(confidence(pred)).tobytes()
             assert (weights[rows] == 1.0).all() == (i == 1)
             p_oh = one_hot(argmax_labels(pred), k)
             want_votes = {"ruv": lambda: vote_integral(p_oh, v), "uniform": lambda: vote_uniform(p_oh),
                           "none": lambda: p_oh.astype(np.float32)}[policy]()
-            assert votes[rows].tobytes() == want_votes.tobytes()
-            assert rep.class_vote_mass.tobytes() == votes[rows].mean(axis=(0, 1), dtype=np.float64).tobytes()
+            want_mass = want_votes.mean(axis=(0, 1), dtype=np.float64)
+            assert vote_mass[i].tobytes() == rep.class_vote_mass.tobytes() == want_mass.tobytes()
             assert rep.mean_weight == float(weights[rows].mean(dtype=np.float64))
             assert rep.mean_confidence == float(conf[rows].mean())
 
@@ -322,14 +351,15 @@ class TestClassMajorRun:
         v = VicinitySpec(size, size, border)
         want = _run(stack, v, policy, report)
         got = _run(major, v, policy, report, axis=axis)
-        for name, a, b, class_axis in zip(("labels", "boosted", "confidence", "weights", "votes"), want, got,
-                                          (None, axis, None, None, axis)):
+        for name, a, b, class_axis in zip(("labels", "boosted", "confidence", "weights"), want, got,
+                                          (None, axis, None, None)):
             if a is None:
                 assert b is None, name
                 continue
             b = self._tall(b, class_axis)
             assert (b.dtype, b.shape) == (a.dtype, a.shape), name
             assert b.tobytes() == a.tobytes(), name
+        assert got[4:] == (None, None)  # the vote mass and the boosted argmax are the class-last report's
         # harden: argmax and one-hot of the boosted label on the same planes
         k = stack.shape[-1]
         hard = np.moveaxis(_one_hot_planes(_argmax(got[1], axis), k), 0, axis)
@@ -355,8 +385,9 @@ class TestClassMajorRun:
 
 
 class TestMemory:
+    # The band pipeline reaches 2.93x (boost) and 2.95x (boost_report) here; the whole-map pipeline reached 4.54x.
     @pytest.mark.parametrize("run", [boost, boost_report])
-    def test_traced_peak_is_at_most_six_inputs(self, run):
+    def test_traced_peak_is_at_most_three_inputs(self, run):
         pred = _random_probmap(np.random.default_rng(40), 128, 256, 19)
         tracemalloc.start()
         try:
@@ -364,4 +395,105 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * pred.nbytes, f"peak {peak / pred.nbytes:.2f}x the input"
+        assert peak <= 3 * pred.nbytes, f"peak {peak / pred.nbytes:.2f}x the input"
+
+
+@st.composite
+def _band_case(draw):
+    """A class-last stack of 1 to 4 maps with ties, exact zeros and maybe a constant image; 1xN and Nx1 included."""
+    n = draw(st.integers(1, 4))
+    shape = draw(st.one_of(st.tuples(st.just(1), st.integers(1, 20)), st.tuples(st.integers(1, 20), st.just(1)),
+                           st.tuples(st.integers(1, 16), st.integers(1, 6))))
+    k = draw(st.integers(1, 20))  # pairwise class sums from 8 on
+    raw = draw(arrays(np.int64, (n,) + shape + (k,), elements=st.integers(0, 3) | st.integers(0, 10**6)))
+    raw[..., 0] += raw.sum(axis=-1) == 0  # every row has mass
+    if draw(st.booleans()):
+        raw[0] = raw[0, 0, 0]  # constant confidence, all weights 1
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return (raw / raw.sum(axis=-1, keepdims=True)).astype(dtype)
+
+
+def _one_band_and_banded(stack, band, run):
+    """``run()`` with one band for each whole image, then with bands of ``band`` rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(segboost.booster, "_BAND_ROWS", stack.shape[1])
+        whole = run()
+        patch.setattr(segboost.booster, "_BAND_ROWS", band)
+        return whole, run()
+
+
+class TestBands:
+    """No output byte of the class-last pipeline depends on its band height."""
+
+    # 43 rows is taller than every map, and a band of 21 rows holds any of its images whole
+    @given(stack=_band_case(), band=st.sampled_from([1, 2, 3, 7, 21]), policy=st.sampled_from(POLICIES),
+           border=st.sampled_from(["clip", "zero"]), report=st.booleans(),
+           size=st.tuples(st.sampled_from([1, 3, 5, 43]), st.sampled_from([1, 3, 15])))
+    def test_run_gives_the_bytes_of_one_band(self, stack, band, policy, border, size, report):
+        v = VicinitySpec(*size, border)
+        whole, banded = _one_band_and_banded(stack, band, lambda: _run(stack, v, policy, report))
+        for name, a, b in zip(("labels", "boosted", "confidence", "weights", "vote_mass", "boosted_labels"),
+                              whole, banded):
+            if a is None:
+                assert b is None, name
+                continue
+            assert (b.dtype, b.shape) == (a.dtype, a.shape), name
+            assert b.tobytes() == a.tobytes(), name
+
+    @given(stack=_band_case(), band=st.sampled_from([1, 2, 7, 21]), policy=st.sampled_from(POLICIES),
+           border=st.sampled_from(["clip", "zero"]), size=st.sampled_from([1, 3, 43]))
+    def test_boost_and_report_give_the_bytes_of_one_band(self, stack, band, policy, border, size):
+        pred, v = stack[0], VicinitySpec(size, 3, border)
+        whole, banded = _one_band_and_banded(stack, band,
+                                             lambda: (boost(pred, v, policy), boost_report(pred, v, policy)))
+        assert banded[0].data.tobytes() == whole[0].data.tobytes()
+        for field in ("changed_fraction", "mean_weight", "mean_confidence"):
+            assert getattr(banded[1], field) == getattr(whole[1], field), field
+        for field in ("class_vote_mass", "labels"):
+            assert getattr(banded[1], field).tobytes() == getattr(whole[1], field).tobytes(), field
+        assert banded[1].boosted.data.tobytes() == whole[1].boosted.data.tobytes()
+
+    @given(stack=_band_case(), band=st.sampled_from([1, 2, 7]), policy=st.sampled_from(POLICIES),
+           fault=st.sampled_from(["nan", "range", "sum"]), earlier=st.booleans(), data=st.data())
+    def test_fault_in_the_last_band_names_the_whole_map(self, stack, band, policy, fault, earlier, data):
+        n, h, w, k = stack.shape
+        r = data.draw(st.integers((h - 1) // band * band, h - 1))  # a row of the last image's last band
+        c, j = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, k - 1))
+        if fault == "sum":
+            stack[-1, r, c] *= 1.01
+        else:
+            stack[-1, r, c, j] = {"nan": np.nan, "range": data.draw(st.sampled_from([-0.25, 1.5]))}[fault]
+        if earlier:  # a range fault in the first band does not hide a NaN the whole-map check reports first
+            stack[0, 0, 0, 0] = 1.5
+        with pytest.raises(ValidationError) as whole:
+            validate_probmap(stack.reshape(n * h, w, k))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(segboost.booster, "_BAND_ROWS", band)
+            with pytest.raises(ValidationError) as banded:
+                _run(stack, VicinitySpec(3, 3), policy, report=False)
+        assert str(banded.value) == str(whole.value)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 19])
+    def test_vote_mass_is_the_mean_of_the_votes(self, monkeypatch, policy, k):
+        pred = _random_probmap(np.random.default_rng(60 + k), 30, 11, k)
+        v = VicinitySpec(5, 3, "zero")
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 7)
+        p_oh = one_hot(argmax_labels(pred), k)
+        votes = {"ruv": lambda: vote_integral(p_oh, v), "uniform": lambda: vote_uniform(p_oh),
+                 "none": lambda: p_oh.astype(np.float32)}[policy]()
+        want = votes.mean(axis=(0, 1), dtype=np.float64)
+        assert boost_report(pred, v, policy).class_vote_mass.tobytes() == want.tobytes()
+
+    def test_vote_mass_adds_in_the_order_of_the_mean(self, monkeypatch):
+        # Real vote sums are exact in float64 at any order on maps this small, so the votes here span
+        # 40 decades, one value per column and class, and any other order of the additions changes bits.
+        rng = np.random.default_rng(70)
+        pred = _random_probmap(rng, 40, 9, 3)
+        scale = (10.0 ** rng.uniform(-30, 10, size=(9, 3))).astype(np.float32)
+        def wide_votes(p_oh, v):
+            return np.where(p_oh == 1, scale, scale / np.float32(3))
+        monkeypatch.setattr(segboost.booster, "vote_integral", wide_votes)
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 7)
+        want = wide_votes(one_hot(argmax_labels(pred), 3), None).mean(axis=(0, 1), dtype=np.float64)
+        assert boost_report(pred, VicinitySpec(3, 3), "ruv").class_vote_mass.tobytes() == want.tobytes()

@@ -34,28 +34,46 @@ def run_cli(*args):
     return code, out.getvalue(), err.getvalue()
 
 
+def _rows_of(band):
+    """``(owner, rows)``: the array that owns a band view's memory, and the rows of it the band covers."""
+    owner = band if band.base is None else band.base
+    start = (band.__array_interface__["data"][0] - owner.__array_interface__["data"][0]) // band.strides[0]
+    return id(owner), range(start, start + band.shape[0])
+
+
 def count_stages(monkeypatch):
-    """Calls per pipeline stage, counted at the name each module calls.
+    """What each pipeline stage covers, call by call, counted at the name each module calls.
 
     The booster and the CLI run the private kernels once validate_probmap
-    has checked their input.
+    has checked their input. Validate, argmax and confidence record the
+    rows of the map or band they scan (see :func:`covered_rows`), weights
+    the number of images it weighs, and votes the height of the one-hot
+    block it counts.
     """
     stages = {
-        "validate": {"booster": "validate_probmap", "cli": "validate_probmap"},
-        "vote": {"booster": "vote_integral", "cli": "vote_integral"},
-        "confidence": {"booster": "_neg_entropy", "cli": "_neg_entropy"},
-        "weights": {"booster": "_image_weights", "cli": "_image_weights"},
-        "argmax": {"booster": "_argmax", "cli": "argmax_labels"},
+        "validate": ({"booster": "validate_probmap", "cli": "validate_probmap"}, _rows_of),
+        "vote": ({"booster": "vote_integral", "cli": "vote_integral"}, lambda p_oh: p_oh.shape[0]),
+        "confidence": ({"booster": "_neg_entropy", "cli": "_neg_entropy"}, _rows_of),
+        "weights": ({"booster": "_image_weights", "cli": "_image_weights"}, lambda planes: planes.shape[0]),
+        "argmax": ({"booster": "_argmax", "cli": "argmax_labels"}, _rows_of),
     }
-    calls = dict.fromkeys(stages, 0)
-    for stage, names in stages.items():
+    cover = {stage: [] for stage in stages}
+    for stage, (names, measure) in stages.items():
         for module_name, name in names.items():
             module = getattr(segboost, module_name)
-            def counted(*args, _fn=getattr(module, name), _stage=stage, **kwargs):
-                calls[_stage] += 1
-                return _fn(*args, **kwargs)
+            def counted(arr, *args, _fn=getattr(module, name), _log=cover[stage], _measure=measure, **kwargs):
+                _log.append(_measure(arr))
+                return _fn(arr, *args, **kwargs)
             monkeypatch.setattr(module, name, counted)
-    return calls
+    return cover
+
+
+def covered_rows(calls):
+    """The rows each array had scanned, in call order, one list per array, arrays in the order first seen."""
+    rows = {}
+    for owner, band in calls:
+        rows.setdefault(owner, []).extend(band)
+    return list(rows.values())
 
 
 @pytest.fixture
@@ -186,11 +204,27 @@ class TestBoostCommand:
 
     @pytest.mark.parametrize("harden", [[], ["--harden"]])
     def test_each_stage_runs_once(self, probmap, tmp_path, monkeypatch, harden):
-        path, _ = probmap
-        calls = count_stages(monkeypatch)
-        assert run_cli("boost", str(path), "--out", str(tmp_path / "b.ten1"), *harden)[0] == 0
+        path, pred = probmap
+        every_row = list(range(pred.shape[0]))  # 12 rows: bands 0-4, 5-9 and 10-11
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 5)
+        cover = count_stages(monkeypatch)
+        assert run_cli("boost", str(path), "--out", str(tmp_path / "b.ten1"), "--vicinity", "3", *harden)[0] == 0
+        assert covered_rows(cover["validate"]) == covered_rows(cover["confidence"]) == [every_row]
         # argmax runs on the input and on the boosted map, which --harden reuses
-        assert calls == {"validate": 1, "vote": 1, "confidence": 1, "weights": 1, "argmax": 2}
+        assert covered_rows(cover["argmax"]) == [every_row, every_row]
+        assert cover["weights"] == [1]  # one call weighs the one image
+        # each band with a halo of the window's row radius, 1, clipped to the map: rows 0-5, 4-10 and 9-11
+        assert cover["vote"] == [6, 7, 3]
+
+    @pytest.mark.parametrize("policy", ["ruv", "uniform", "none"])
+    @pytest.mark.parametrize("border", ["clip", "zero"])
+    def test_soft_output_is_the_tensor_of_the_library_boost(self, probmap, tmp_path, monkeypatch, policy, border):
+        path, pred = probmap
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 5)
+        out = tmp_path / "soft.ten1"
+        assert run_cli("boost", str(path), "--out", str(out), "--vicinity", "5", "--border", border,
+                       "--policy", policy)[0] == 0
+        assert out.read_bytes() == write_tensor(boost(pred, VicinitySpec(5, 5, border), policy).data)
 
     @pytest.mark.parametrize("policy", ["ruv", "uniform", "none"])
     def test_harden_writes_the_argmax_of_the_boosted_map(self, probmap, tmp_path, policy):
@@ -237,10 +271,12 @@ class TestVoteAndConf:
         assert run_cli("vote", str(path), "--out", str(tmp_path / "v.ten1"), "--classes", "2")[0] == 0
 
     def test_conf_checks_its_input_once(self, probmap, tmp_path, monkeypatch):
-        path, _ = probmap
-        calls = count_stages(monkeypatch)
+        path, pred = probmap
+        cover = count_stages(monkeypatch)
         assert run_cli("conf", str(path), "--out", str(tmp_path / "c.ten1"))[0] == 0
-        assert calls == {"validate": 1, "vote": 0, "confidence": 1, "weights": 1, "argmax": 0}
+        every_row = list(range(pred.shape[0]))
+        assert covered_rows(cover["validate"]) == covered_rows(cover["confidence"]) == [every_row]
+        assert (cover["weights"], cover["vote"], cover["argmax"]) == ([1], [], [])
 
     def test_conf_one_hot_is_zero_plane(self, tmp_path):
         oh = one_hot(np.zeros((4, 4), dtype=np.uint16), 2).astype(np.float32)

@@ -91,7 +91,7 @@ class TestAdaptiveWeights:
 
     def test_empty_mask_rejected(self):
         # a plane with no pixels leaves nothing to scan for the extremes
-        with pytest.raises(ValidationError, match="selects no pixels"):
+        with pytest.raises(ValidationError, match=r"confidence plane of shape \(0, 2\) has no pixels"):
             adaptive_weights(np.zeros((0, 2)))
 
     def test_non_finite_rejected(self):

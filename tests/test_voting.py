@@ -291,3 +291,42 @@ class TestVoterProperties:
         np.testing.assert_array_equal(s32, want)
         np.testing.assert_array_equal(s64, want)
         np.testing.assert_array_equal(a32, a64)
+
+
+class TestWindowSumTable:
+    """``_window_sums`` against the table of two ``np.cumsum`` calls, on both sides of the row-length threshold."""
+
+    # row lengths: 2*3 and 40*3 stay below 1024 elements, 64*17, 1100 and 9*120 reach it
+    SHAPES = [(5, 2, 3), (7, 40, 3), (6, 64, 17), (3, 1100), (1, 9, 120), (4, 1, 1030)]
+
+    @staticmethod
+    def _cumsum_formula(values, rr, rc, dtype):
+        h, w = values.shape[:2]
+        table = np.zeros((h + 1, w + 1) + values.shape[2:], dtype=dtype)
+        table[1:, 1:] = np.cumsum(np.cumsum(values, axis=0, dtype=dtype), axis=1)
+        r0, r1 = np.clip(np.arange(h) - rr, 0, h), np.clip(np.arange(h) + rr + 1, 0, h)
+        c0, c1 = np.clip(np.arange(w) - rc, 0, w), np.clip(np.arange(w) + rc + 1, 0, w)
+        top, bottom = table[r0], table[r1]
+        return ((bottom[:, c1] - top[:, c1]) - bottom[:, c0]) + top[:, c0]
+
+    @given(shape=st.sampled_from(SHAPES), rr=st.integers(0, 8), rc=st.integers(0, 70),
+           kind=st.sampled_from(["int32", "float64"]), data=st.data())
+    def test_same_bits_as_the_cumsum_table(self, shape, rr, rc, kind, data):
+        if kind == "int32":  # one-hot counts
+            values = data.draw(arrays(np.uint8, shape, elements=st.integers(0, 1)))
+        else:  # signed zeros and magnitudes far apart, so the order of additions shows in the bits
+            values = data.draw(arrays(np.float64, shape, elements=st.sampled_from(
+                [0.0, -0.0, 1.0, -2.5, 1e-300, 3e16, -7.25e-5, 0.1])))
+        dtype = np.dtype(kind)
+        sums, area = _window_sums(values, rr, rc, dtype)
+        want = self._cumsum_formula(values, rr, rc, dtype)
+        assert sums.dtype == dtype and sums.shape == values.shape
+        assert sums.tobytes() == want.tobytes()
+        h, w = shape[:2]
+        rows = np.minimum(np.arange(h) + rr + 1, h) - np.maximum(np.arange(h) - rr, 0)
+        cols = np.minimum(np.arange(w) + rc + 1, w) - np.maximum(np.arange(w) - rc, 0)
+        np.testing.assert_array_equal(area, rows[:, None] * cols[None, :])
+
+    def test_threshold_splits_the_two_builds(self):
+        # the simulator's (32, 32, 24) channel stacks keep np.cumsum; a 256x512x19 band's rows add whole rows
+        assert 32 * 24 < segboost.voting._ROW_ADD_MIN <= 512 * 19
