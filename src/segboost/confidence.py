@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensors import ValidationError, _over_classes
+from .tensors import ValidationError, _check_values, _over_classes
 
 
 def confidence(pred: np.ndarray) -> np.ndarray:
@@ -21,22 +21,16 @@ def confidence(pred: np.ndarray) -> np.ndarray:
 
     Parameters
     ----------
-    pred : (H, W, K) float array, rows normalized to 1
+    pred : (H, W, K) array of values in [0, 1], rows normalized to 1; NaN
+        or a value outside [0, 1] raises :class:`ValidationError` naming the
+        pixel (row sums are not checked)
 
     Returns
     -------
     (H, W) float64 plane of values in [-ln K, 0]; closer to 0 means more
     confident.
     """
-    pred = np.asarray(pred)
-    if pred.ndim != 3 or pred.shape[2] < 1:
-        raise ValidationError(f"probability map must be (H, W, K), got shape {pred.shape}")
-    if (pred < 0).any():
-        r, c, k = np.argwhere(pred < 0)[0]
-        raise ValidationError(
-            f"negative probability {pred[r, c, k]!r} at pixel ({r}, {c}), class {k}"
-        )
-    return _neg_entropy(pred)
+    return _neg_entropy(_check_values(pred))
 
 
 def _neg_entropy(pred: np.ndarray, axis: int = -1) -> np.ndarray:

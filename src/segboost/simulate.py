@@ -42,7 +42,7 @@ import numpy as np
 
 from .booster import POLICIES, _run
 from .metrics import ConfusionMatrix
-from .tensors import ValidationError, _argmax, _is_int, _one_hot_planes, _over_classes, argmax_labels, one_hot
+from .tensors import ValidationError, _argmax, _is_int, _one_hot, _over_classes, argmax_labels, one_hot
 from .voting import VicinitySpec, _window_sums
 
 CSV_HEADER = "policy,vicinity,seed,iter,miou"
@@ -394,7 +394,7 @@ def _pseudo_targets(probs: np.ndarray, config: SimConfig) -> np.ndarray:
     """
     soft = _run(probs, config.vicinity, config.policy, report=False, axis=1)[1]
     if config.harden:
-        soft = np.moveaxis(_one_hot_planes(_argmax(soft, 1), probs.shape[1]), 0, 1)
+        soft = _one_hot(_argmax(soft, 1), probs.shape[1], 1)
     return soft
 
 

@@ -96,9 +96,16 @@ def one_hot(labels: np.ndarray, classes: int) -> np.ndarray:
     negative or ``>= classes``.
     """
     _check_classes(classes)
-    labels = _check_labels(labels, classes)
-    # Every label is now a class index or void, which matches no class.
-    return (labels[:, :, None] == np.arange(classes)).view(np.uint8)
+    return _one_hot(_check_labels(labels, classes), classes).view(np.uint8)
+
+
+def _one_hot(labels: np.ndarray, classes: int, axis: int = -1) -> np.ndarray:
+    """The bool one-hot of a label array whose labels are class indices or void, class ``axis`` inserted."""
+    pos = axis % (labels.ndim + 1)
+    # The class indices take the labels' dtype where it holds them all: a compare that casts is 2-3x slower.
+    index = np.arange(classes, dtype=np.result_type(labels.dtype, np.min_scalar_type(classes - 1)))
+    index = index.reshape((classes,) + (1,) * (labels.ndim - pos))
+    return labels.reshape(labels.shape[:pos] + (1,) + labels.shape[pos:]) == index
 
 
 def _over_classes(op, x: np.ndarray, dtype=None, axis: int = -1) -> np.ndarray:
@@ -129,10 +136,12 @@ def _over_classes(op, x: np.ndarray, dtype=None, axis: int = -1) -> np.ndarray:
 
 
 def _check_shape(pred) -> np.ndarray:
-    """The map as an array, after checking it is (H, W, K)."""
+    """The map as an array, after checking it is (H, W, K) and of real numbers: bool, integer or float."""
     pred = np.asarray(pred)
     if pred.ndim != 3 or pred.shape[2] < 1:
         raise ValidationError(f"probability map must be (H, W, K), got shape {pred.shape}")
+    if pred.dtype.kind not in "biuf":
+        raise ValidationError(f"probability map must be bool, integer or float, got dtype {pred.dtype}")
     return pred
 
 
@@ -165,54 +174,47 @@ def _argmax(pred: np.ndarray, axis: int = -1) -> np.ndarray:
     """
     if axis == -1:
         return np.argmax(pred, axis=-1).astype(np.uint16)
-    planes = np.moveaxis(pred, axis, 0)
-    best = planes[0]
+    plane = (slice(None),) * (axis % pred.ndim)  # class j is pred[plane + (j,)]
+    best = pred[plane + (0,)]
     labels = np.zeros(best.shape, dtype=np.uint16)
-    for j in range(1, len(planes)):
-        np.maximum(labels, (planes[j] > best) * np.uint16(j), out=labels)
-        best = np.maximum(best, planes[j])
+    for j in range(1, pred.shape[axis]):
+        np.maximum(labels, (pred[plane + (j,)] > best) * np.uint16(j), out=labels)
+        best = np.maximum(best, pred[plane + (j,)])
     return labels
 
 
-def _one_hot_planes(labels: np.ndarray, classes: int) -> np.ndarray:
-    """The ``(K, ...)`` bool planes ``labels == k`` of a label array whose labels are all class indices."""
-    return labels == np.arange(classes).reshape((classes,) + (1,) * labels.ndim)
+def _check_values(pred) -> np.ndarray:
+    """The map as an array, after checking it is (H, W, K) with no NaN and every value in [0, 1]."""
+    pred = _check_map(pred)
+    outside = (pred < 0) | (pred > 1)
+    if outside.any():
+        r, c, k = np.argwhere(outside)[0]
+        raise ValidationError(
+            f"probability {pred[r, c, k]!r} at pixel ({r}, {c}), class {k} outside [0, 1]"
+        )
+    return pred
+
+
+def _is_probmap(pred: np.ndarray, axis: int = -1) -> bool:
+    """The check of :func:`validate_probmap`, naming no fault, for an array of any layout with class ``axis``."""
+    in_range = (pred >= 0).all() and (pred <= 1).all()  # False on NaN
+    return bool(in_range and not (np.abs(_over_classes(np.add, pred, np.float64, axis) - 1.0) > 1e-4).any())
 
 
 def validate_probmap(pred: np.ndarray) -> np.ndarray:
     """Check probability-map invariants and return the array unchanged.
 
     Values must sit in [0, 1] with no NaN, and the per-pixel class sums
-    must fall within 1e-4 of 1.
+    must fall within 1e-4 of 1. The error names the first NaN, else the
+    first value outside [0, 1], else the first row sum off 1.
     """
-    pred = _check_map(pred)
-    if (pred < 0).any() or (pred > 1).any():
-        r, c, k = np.argwhere((pred < 0) | (pred > 1))[0]
-        raise ValidationError(
-            f"probability {pred[r, c, k]!r} at pixel ({r}, {c}), class {k} outside [0, 1]"
-        )
-    sums = _over_classes(np.add, pred, np.float64)
-    off = np.abs(sums - 1.0) > 1e-4
-    if off.any():
-        r, c = np.argwhere(off)[0]
+    pred = _check_shape(pred)
+    if not _is_probmap(pred):
+        sums = _over_classes(np.add, _check_values(pred), np.float64)
+        r, c = np.argwhere(np.abs(sums - 1.0) > 1e-4)[0]
         raise ValidationError(
             f"class sum {sums[r, c]:.6f} at pixel ({r}, {c}) not within 1e-4 of 1"
         )
-    return pred
-
-
-def _check_planes(pred: np.ndarray, axis: int) -> np.ndarray:
-    """:func:`validate_probmap` of a stack whose class ``axis`` is not last; its other axes end in ``(H, W)``.
-
-    The checks run on the whole array. On a failure the stack is copied
-    class-last and tall, ``(images * H, W, K)``, for :func:`validate_probmap`
-    to raise, so the message names the pixel and class it names for the
-    class-last stack of the same maps.
-    """
-    in_range = (pred >= 0).all() and (pred <= 1).all()  # False on NaN
-    if not in_range or (np.abs(_over_classes(np.add, pred, np.float64, axis) - 1.0) > 1e-4).any():
-        last = np.moveaxis(pred, axis, -1)
-        validate_probmap(last.reshape((-1,) + last.shape[-2:]))
     return pred
 
 

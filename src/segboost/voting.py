@@ -87,11 +87,13 @@ def _check_one_hot(p_oh: np.ndarray) -> np.ndarray:
 _ROW_ADD_MIN = 1024
 
 
-def _window_sums(values: np.ndarray, r_rows: int, r_cols: int, dtype):
-    """Sums of ``(H, W, ...)`` values over centered windows clipped to the image.
+def _window_sums(values: np.ndarray, r_rows: int, r_cols: int, dtype, rows: slice = slice(None)):
+    """Sums of ``(H, W, ...)`` values over centered windows clipped to the image, for ``rows`` of it.
 
-    Returns the sums in ``dtype`` and the ``(H, W)`` int64 in-bounds window
-    areas. The summed-area table (Crow 1984) is two cumulative sums in
+    Returns the sums in ``dtype`` and the in-bounds window areas, int64 and
+    ``(len(rows), W)``. The table covers all H rows, so rows outside
+    ``rows`` add to the windows of rows inside but get no sums of their own.
+    The summed-area table (Crow 1984) is two cumulative sums in
     ``dtype``, rows then columns, written into a buffer padded by the window
     radius: zeros at the top and left, the last table row and column
     repeated at the bottom and right. Every clipped window corner is then a
@@ -123,14 +125,15 @@ def _window_sums(values: np.ndarray, r_rows: int, r_cols: int, dtype):
     np.cumsum(body, axis=1, out=body)
     sat[:, rc + 1 + w:] = sat[:, rc + w:rc + w + 1]
     sat[rr + 1 + h:] = sat[rr + h:rr + h + 1]
-    lo_r, hi_r = slice(0, h), slice(2 * rr + 1, 2 * rr + 1 + h)
+    top, stop, _ = rows.indices(h)
+    lo_r, hi_r = slice(top, stop), slice(2 * rr + 1 + top, 2 * rr + 1 + stop)
     lo_c, hi_c = slice(0, w), slice(2 * rc + 1, 2 * rc + 1 + w)
     sums = np.subtract(sat[hi_r, hi_c], sat[lo_r, hi_c])
     sums -= sat[hi_r, lo_c]
     sums += sat[lo_r, lo_c]
-    rows, cols = np.arange(h), np.arange(w)
-    r_span = np.minimum(rows + r_rows + 1, h) - np.maximum(rows - r_rows, 0)
-    c_span = np.minimum(cols + r_cols + 1, w) - np.maximum(cols - r_cols, 0)
+    row_at, col_at = np.arange(top, stop), np.arange(w)
+    r_span = np.minimum(row_at + r_rows + 1, h) - np.maximum(row_at - r_rows, 0)
+    c_span = np.minimum(col_at + r_cols + 1, w) - np.maximum(col_at - r_cols, 0)
     return sums, r_span[:, None] * c_span[None, :]
 
 
@@ -179,12 +182,24 @@ def vote_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = Non
     """
     p_oh = _check_one_hot(p_oh)
     h, w, k = p_oh.shape
-    # Each count is at most h * w, so int32 cannot overflow below 2**31 pixels.
-    dtype = np.int32 if h * w < 2**31 else np.int64
-    counts, area = _window_sums(p_oh, v.height // 2, v.width // 2, dtype)
     if ops is not None:
         ops.tally((h - 1) * w * k + h * (w - 1) * k)  # the two cumulative sums
         ops.tally(3 * h * w * k)  # corner combination
+    return _band_votes(p_oh, v, slice(None), ops)
+
+
+def _band_votes(p_oh: np.ndarray, v: VicinitySpec, rows: slice, ops: OpCounter | None = None) -> np.ndarray:
+    """:func:`vote_integral` of ``rows`` of an ``(H, W, K)`` integer one-hot whose other rows are a halo.
+
+    Halo rows vote into the windows of ``rows`` but are not voted on: the
+    table covers the whole block, and corners are combined and divided only
+    for ``rows``. A block clipped to the image at a window's row radius
+    around ``rows`` gives those rows the bytes of the whole image's votes.
+    """
+    h, w = p_oh.shape[:2]
+    # Each count is at most h * w, so int32 cannot overflow below 2**31 pixels.
+    dtype = np.int32 if h * w < 2**31 else np.int64
+    counts, area = _window_sums(p_oh, v.height // 2, v.width // 2, dtype, rows)
     return _finish(counts, area, v, ops)
 
 

@@ -1,6 +1,8 @@
 """Blending one-hot labels with regional votes under adaptive weights."""
 
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from segboost import (
 )
 import segboost.booster
 from segboost.booster import _run
-from segboost.tensors import _argmax, _one_hot_planes
+from segboost.tensors import _argmax, _one_hot
 
 
 def _random_probmap(rng, h, w, k):
@@ -109,6 +111,31 @@ class TestBlend:
             if trial % 2:  # a non-contiguous array is blended by value too
                 votes = np.asfortranarray(votes)
             assert blend(p_oh, votes, weights).tobytes() == want.astype(np.float32).tobytes()
+
+    def test_non_zero_entry_counts_as_one(self):
+        rng = np.random.default_rng(14)
+        p_oh = one_hot(rng.integers(0, 3, size=(4, 5)).astype(np.uint16), 3)
+        votes = vote_integral(p_oh, VicinitySpec(3, 3))
+        weights = rng.random((4, 5)).astype(np.float32)
+        scaled = p_oh.astype(np.float64) * rng.uniform(0.5, 9.0, size=(4, 5, 1))
+        assert blend(scaled, votes, weights).tobytes() == blend(p_oh, votes, weights).tobytes()
+
+    def test_float64_weights_blend_at_full_precision(self):
+        rng = np.random.default_rng(15)
+        p_oh = one_hot(rng.integers(0, 4, size=(6, 7)).astype(np.uint16), 4)
+        votes = rng.random((6, 7, 4)).astype(np.float32)
+        weights = rng.random((6, 7))  # float64, most not representable in float32
+        w64 = weights[:, :, None]
+        want = w64 * p_oh.astype(np.float64) + (1.0 - w64) * votes.astype(np.float64)
+        assert blend(p_oh, votes, weights).tobytes() == want.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("weight", [1.5, -0.25, np.nan, np.inf])
+    def test_weights_outside_the_unit_interval_rejected(self, weight):
+        p_oh = one_hot(np.array([[0, 1]], dtype=np.uint16), 2)
+        weights = np.array([[0.5, weight]], dtype=np.float32)
+        message = f"weight {weights[0, 1]} at pixel (0, 1) is not in [0, 1]"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            blend(p_oh, vote_uniform(p_oh), weights)
 
     def test_rows_with_two_set_entries_rejected(self):
         p_oh = one_hot(np.zeros((2, 3), dtype=np.uint16), 3)
@@ -204,6 +231,18 @@ class TestBoost:
             with pytest.raises(ValidationError, match=match):
                 run(pred, VicinitySpec(3, 3), policy)
 
+    @pytest.mark.parametrize("run", [boost, boost_report, validate_probmap, argmax_labels])
+    @pytest.mark.parametrize("values", [np.full((2, 3, 2), "0.5"), np.full((2, 3, 2), 0.5 + 0j),
+                                        np.full((2, 3, 2), np.datetime64("2020-01-01")),
+                                        np.full((2, 3, 2), 0.5, dtype=object)],
+                             ids=["str", "complex", "datetime", "object"])
+    def test_rejects_maps_that_are_not_real_numbers(self, run, values):
+        message = f"must be bool, integer or float, got dtype {values.dtype}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a complex map used to pass validate_probmap with a ComplexWarning
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                run(values)
+
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("shape", [(0, 3, 2), (3, 0, 2)])
     def test_empty_map_is_empty_or_rejected(self, policy, shape):
@@ -280,25 +319,24 @@ class TestStackedRun:
         n, h, w, k = stack.shape
         v = VicinitySpec(*window, border)
         labels, data, conf, weights, vote_mass, after = _run(stack, v, policy, report=True)
-        assert data.shape == (n * h, w, k) and labels.shape == conf.shape == after.shape == (n * h, w)
+        assert data.shape == (n, h, w, k) and labels.shape == conf.shape == after.shape == (n, h, w)
         assert vote_mass.shape == (n, k)
         for i, pred in enumerate(stack):
-            rows = slice(i * h, (i + 1) * h)
             rep = boost_report(pred, v, policy)
-            assert data[rows].tobytes() == boost(pred, v, policy).data.tobytes()
-            assert data[rows].tobytes() == rep.boosted.data.tobytes()
-            assert labels[rows].tobytes() == argmax_labels(pred).tobytes()
-            assert after[rows].tobytes() == argmax_labels(data[rows]).tobytes() == rep.labels.tobytes()
-            assert conf[rows].tobytes() == confidence(pred).tobytes()
-            assert weights[rows].tobytes() == adaptive_weights(confidence(pred)).tobytes()
-            assert (weights[rows] == 1.0).all() == (i == 1)
+            assert data[i].tobytes() == boost(pred, v, policy).data.tobytes()
+            assert data[i].tobytes() == rep.boosted.data.tobytes()
+            assert labels[i].tobytes() == argmax_labels(pred).tobytes()
+            assert after[i].tobytes() == argmax_labels(data[i]).tobytes() == rep.labels.tobytes()
+            assert conf[i].tobytes() == confidence(pred).tobytes()
+            assert weights[i].tobytes() == adaptive_weights(confidence(pred)).tobytes()
+            assert (weights[i] == 1.0).all() == (i == 1)
             p_oh = one_hot(argmax_labels(pred), k)
             want_votes = {"ruv": lambda: vote_integral(p_oh, v), "uniform": lambda: vote_uniform(p_oh),
                           "none": lambda: p_oh.astype(np.float32)}[policy]()
             want_mass = want_votes.mean(axis=(0, 1), dtype=np.float64)
             assert vote_mass[i].tobytes() == rep.class_vote_mass.tobytes() == want_mass.tobytes()
-            assert rep.mean_weight == float(weights[rows].mean(dtype=np.float64))
-            assert rep.mean_confidence == float(conf[rows].mean())
+            assert rep.mean_weight == float(weights[i].mean(dtype=np.float64))
+            assert rep.mean_confidence == float(conf[i].mean())
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_bad_last_image_is_rejected(self, policy):
@@ -312,11 +350,11 @@ class TestStackedRun:
 
 
 @st.composite
-def _class_major_case(draw):
+def _class_major_case(draw, heights=st.integers(1, 5)):
     """A class-last ``(N, H, W, K)`` stack of maps with ties, exact zeros and maybe a constant image,
     and a contiguous class-major copy of it with its class axis."""
     models, batch = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    h = draw(st.integers(1, 5))
+    h = draw(heights)
     w = draw(st.integers(1, 7))
     k = draw(st.integers(1, 12))  # pairwise class sums from 8 on
     # small integers make ties and exact zeros, large ones generic weights
@@ -337,12 +375,12 @@ class TestClassMajorRun:
     """``_run`` on a class-major stack gives the bytes of the class-last call on the same maps."""
 
     @staticmethod
-    def _tall(array, class_axis):
-        """A class-major output in the tall layout of the class-last call."""
-        if class_axis is None:  # labels, confidence, weights: (..., H, W)
-            return array.reshape((-1,) + array.shape[-1:])
+    def _class_last(array, class_axis):
+        """A class-major output in the ``(N, H, W, ...)`` layout of the class-last call."""
+        if class_axis is None:  # labels, confidence, weights, boosted labels: (..., H, W)
+            return array.reshape((-1,) + array.shape[-2:])
         array = np.moveaxis(array, class_axis, -1)
-        return array.reshape((-1,) + array.shape[-2:])
+        return array.reshape((-1,) + array.shape[-3:])
 
     @given(case=_class_major_case(), policy=st.sampled_from(POLICIES), border=st.sampled_from(["clip", "zero"]),
            size=st.sampled_from([1, 3, 5, 15]), report=st.booleans())  # 15 is wider than every map
@@ -351,19 +389,19 @@ class TestClassMajorRun:
         v = VicinitySpec(size, size, border)
         want = _run(stack, v, policy, report)
         got = _run(major, v, policy, report, axis=axis)
-        for name, a, b, class_axis in zip(("labels", "boosted", "confidence", "weights"), want, got,
-                                          (None, axis, None, None)):
+        names = ("labels", "boosted", "confidence", "weights", "vote_mass", "boosted_labels")
+        for name, a, b in zip(names, want, got):
             if a is None:
                 assert b is None, name
                 continue
-            b = self._tall(b, class_axis)
+            if name != "vote_mass":  # (images, K) in both layouts
+                b = self._class_last(b, axis if name == "boosted" else None)
             assert (b.dtype, b.shape) == (a.dtype, a.shape), name
             assert b.tobytes() == a.tobytes(), name
-        assert got[4:] == (None, None)  # the vote mass and the boosted argmax are the class-last report's
         # harden: argmax and one-hot of the boosted label on the same planes
         k = stack.shape[-1]
-        hard = np.moveaxis(_one_hot_planes(_argmax(got[1], axis), k), 0, axis)
-        assert self._tall(hard, axis).view(np.uint8).tobytes() == one_hot(argmax_labels(want[1]), k).tobytes()
+        hard = self._class_last(_one_hot(_argmax(got[1], axis), k, axis), axis).view(np.uint8)
+        assert all(hard[i].tobytes() == one_hot(argmax_labels(want[1][i]), k).tobytes() for i in range(len(hard)))
 
     @given(case=_class_major_case(), policy=st.sampled_from(POLICIES), fault=st.sampled_from(["nan", "range", "sum"]),
            data=st.data())
@@ -413,17 +451,17 @@ def _band_case(draw):
     return (raw / raw.sum(axis=-1, keepdims=True)).astype(dtype)
 
 
-def _one_band_and_banded(stack, band, run):
+def _one_band_and_banded(band, run):
     """``run()`` with one band for each whole image, then with bands of ``band`` rows."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(segboost.booster, "_BAND_ROWS", stack.shape[1])
+        patch.setattr(segboost.booster, "_BAND_ROWS", 10**9)
         whole = run()
         patch.setattr(segboost.booster, "_BAND_ROWS", band)
         return whole, run()
 
 
 class TestBands:
-    """No output byte of the class-last pipeline depends on its band height."""
+    """No output byte of the pipeline depends on its band height, in either layout."""
 
     # 43 rows is taller than every map, and a band of 21 rows holds any of its images whole
     @given(stack=_band_case(), band=st.sampled_from([1, 2, 3, 7, 21]), policy=st.sampled_from(POLICIES),
@@ -431,7 +469,22 @@ class TestBands:
            size=st.tuples(st.sampled_from([1, 3, 5, 43]), st.sampled_from([1, 3, 15])))
     def test_run_gives_the_bytes_of_one_band(self, stack, band, policy, border, size, report):
         v = VicinitySpec(*size, border)
-        whole, banded = _one_band_and_banded(stack, band, lambda: _run(stack, v, policy, report))
+        whole, banded = _one_band_and_banded(band, lambda: _run(stack, v, policy, report))
+        for name, a, b in zip(("labels", "boosted", "confidence", "weights", "vote_mass", "boosted_labels"),
+                              whole, banded):
+            if a is None:
+                assert b is None, name
+                continue
+            assert (b.dtype, b.shape) == (a.dtype, a.shape), name
+            assert b.tobytes() == a.tobytes(), name
+
+    @given(case=_class_major_case(heights=st.integers(8, 16)), band=st.sampled_from([1, 2, 7]),
+           policy=st.sampled_from(POLICIES), border=st.sampled_from(["clip", "zero"]), report=st.booleans(),
+           size=st.tuples(st.sampled_from([1, 3, 5, 33]), st.sampled_from([1, 3, 15])))
+    def test_class_major_run_gives_the_bytes_of_one_band(self, case, band, policy, border, report, size):
+        _, major, axis = case
+        v = VicinitySpec(*size, border)
+        whole, banded = _one_band_and_banded(band, lambda: _run(major, v, policy, report, axis=axis))
         for name, a, b in zip(("labels", "boosted", "confidence", "weights", "vote_mass", "boosted_labels"),
                               whole, banded):
             if a is None:
@@ -444,7 +497,7 @@ class TestBands:
            border=st.sampled_from(["clip", "zero"]), size=st.sampled_from([1, 3, 43]))
     def test_boost_and_report_give_the_bytes_of_one_band(self, stack, band, policy, border, size):
         pred, v = stack[0], VicinitySpec(size, 3, border)
-        whole, banded = _one_band_and_banded(stack, band,
+        whole, banded = _one_band_and_banded(band,
                                              lambda: (boost(pred, v, policy), boost_report(pred, v, policy)))
         assert banded[0].data.tobytes() == whole[0].data.tobytes()
         for field in ("changed_fraction", "mean_weight", "mean_confidence"):
@@ -493,7 +546,7 @@ class TestBands:
         scale = (10.0 ** rng.uniform(-30, 10, size=(9, 3))).astype(np.float32)
         def wide_votes(p_oh, v):
             return np.where(p_oh == 1, scale, scale / np.float32(3))
-        monkeypatch.setattr(segboost.booster, "vote_integral", wide_votes)
+        monkeypatch.setattr(segboost.booster, "_band_votes", lambda p_oh, v, rows: wide_votes(p_oh[rows], v))
         monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 7)
         want = wide_votes(one_hot(argmax_labels(pred), 3), None).mean(axis=(0, 1), dtype=np.float64)
         assert boost_report(pred, VicinitySpec(3, 3), "ruv").class_vote_mass.tobytes() == want.tobytes()

@@ -34,25 +34,25 @@ def run_cli(*args):
     return code, out.getvalue(), err.getvalue()
 
 
-def _rows_of(band):
-    """``(owner, rows)``: the array that owns a band view's memory, and the rows of it the band covers."""
+def _rows_of(band, *args):
+    """``(owner, rows)``: the array that owns a class-last band view's memory, and the rows of it the band covers."""
     owner = band if band.base is None else band.base
-    start = (band.__array_interface__["data"][0] - owner.__array_interface__["data"][0]) // band.strides[0]
-    return id(owner), range(start, start + band.shape[0])
+    start = (band.__array_interface__["data"][0] - owner.__array_interface__["data"][0]) // band.strides[-3]
+    return id(owner), range(start, start + band.shape[-3])
 
 
 def count_stages(monkeypatch):
     """What each pipeline stage covers, call by call, counted at the name each module calls.
 
-    The booster and the CLI run the private kernels once validate_probmap
-    has checked their input. Validate, argmax and confidence record the
-    rows of the map or band they scan (see :func:`covered_rows`), weights
-    the number of images it weighs, and votes the height of the one-hot
-    block it counts.
+    The booster and the CLI run the private kernels once the input is
+    checked. Validate, argmax and confidence record the rows of the map or
+    band they scan (see :func:`covered_rows`), weights the number of images
+    it weighs, and votes the height of the one-hot block it counts and the
+    rows of that block it votes on.
     """
     stages = {
-        "validate": ({"booster": "validate_probmap", "cli": "validate_probmap"}, _rows_of),
-        "vote": ({"booster": "vote_integral", "cli": "vote_integral"}, lambda p_oh: p_oh.shape[0]),
+        "validate": ({"booster": "_is_probmap", "cli": "validate_probmap"}, _rows_of),
+        "vote": ({"booster": "_band_votes"}, lambda p_oh, v, rows: (len(p_oh), range(*rows.indices(len(p_oh))))),
         "confidence": ({"booster": "_neg_entropy", "cli": "_neg_entropy"}, _rows_of),
         "weights": ({"booster": "_image_weights", "cli": "_image_weights"}, lambda planes: planes.shape[0]),
         "argmax": ({"booster": "_argmax", "cli": "argmax_labels"}, _rows_of),
@@ -61,9 +61,9 @@ def count_stages(monkeypatch):
     for stage, (names, measure) in stages.items():
         for module_name, name in names.items():
             module = getattr(segboost, module_name)
-            def counted(arr, *args, _fn=getattr(module, name), _log=cover[stage], _measure=measure, **kwargs):
-                _log.append(_measure(arr))
-                return _fn(arr, *args, **kwargs)
+            def counted(*args, _fn=getattr(module, name), _log=cover[stage], _measure=measure, **kwargs):
+                _log.append(_measure(*args))
+                return _fn(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
     return cover
 
@@ -213,8 +213,9 @@ class TestBoostCommand:
         # argmax runs on the input and on the boosted map, which --harden reuses
         assert covered_rows(cover["argmax"]) == [every_row, every_row]
         assert cover["weights"] == [1]  # one call weighs the one image
-        # each band with a halo of the window's row radius, 1, clipped to the map: rows 0-5, 4-10 and 9-11
-        assert cover["vote"] == [6, 7, 3]
+        # each band's one-hot has a halo of the window's row radius, 1, clipped to the map: rows 0-5, 4-10
+        # and 9-11; votes come only for the band's own rows 0-4, 5-9 and 10-11
+        assert cover["vote"] == [(6, range(0, 5)), (7, range(1, 6)), (3, range(1, 3))]
 
     @pytest.mark.parametrize("policy", ["ruv", "uniform", "none"])
     @pytest.mark.parametrize("border", ["clip", "zero"])

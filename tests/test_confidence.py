@@ -55,6 +55,18 @@ class TestConfidence:
         with pytest.raises(ValidationError, match=r"\(0, 1\)"):
             confidence(pred)
 
+    @pytest.mark.parametrize("pixel, value, match", [
+        ((0, 0, 0), np.nan, r"NaN probability at pixel \(0, 0\), class 0"),
+        ((1, 0, 0), 2.0, r"probability \S*2.0\S* at pixel \(1, 0\), class 0 outside \[0, 1\]"),
+    ])
+    def test_nan_and_values_above_one_rejected(self, pixel, value, match):
+        # a NaN row used to score 0, the most confident value, and 2.0 scored +1.386, outside [-ln K, 0]
+        pred = np.array([[[0.5, 0.5], [1.0, 0.0]], [[0.5, 0.5], [1.0, 0.0]]])
+        pred[pixel] = value
+        with pytest.raises(ValidationError, match=match):
+            confidence(pred)
+
+
     def test_more_peaked_means_higher_confidence(self):
         flat = np.array([[[0.4, 0.3, 0.3]]])
         peaked = np.array([[[0.8, 0.1, 0.1]]])

@@ -327,6 +327,16 @@ class TestWindowSumTable:
         cols = np.minimum(np.arange(w) + rc + 1, w) - np.maximum(np.arange(w) - rc, 0)
         np.testing.assert_array_equal(area, rows[:, None] * cols[None, :])
 
+    @given(shape=st.sampled_from(SHAPES), rr=st.integers(0, 8), rc=st.integers(0, 70), data=st.data())
+    def test_rows_of_a_halo_block_are_the_rows_of_the_whole_table(self, shape, rr, rc, data):
+        values = data.draw(arrays(np.uint8, shape, elements=st.integers(0, 1)))
+        top = data.draw(st.integers(0, shape[0]))
+        rows = slice(top, data.draw(st.integers(top, shape[0])))
+        sums, area = _window_sums(values, rr, rc, np.int32)
+        band_sums, band_area = _window_sums(values, rr, rc, np.int32, rows)
+        assert band_sums.tobytes() == sums[rows].tobytes()
+        assert band_area.tobytes() == area[rows].tobytes()
+
     def test_threshold_splits_the_two_builds(self):
         # the simulator's (32, 32, 24) channel stacks keep np.cumsum; a 256x512x19 band's rows add whole rows
         assert 32 * 24 < segboost.voting._ROW_ADD_MIN <= 512 * 19
