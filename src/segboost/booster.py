@@ -174,6 +174,7 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
         if not _is_probmap(band, axis):  # one check for NaN, range and row sums; the kernels below skip it
             last = np.moveaxis(stack, axis, -1)
             validate_probmap(last.reshape((-1,) + last.shape[-2:]))
+            raise ValidationError("probability map failed validation")  # should the two checks ever disagree
         labels[..., rows, :] = _argmax(band, axis)
         if weigh:
             conf[..., rows, :] = _neg_entropy(band, axis)

@@ -348,6 +348,12 @@ class TestStackedRun:
             with pytest.raises(ValidationError, match=match):
                 _run(bad, VicinitySpec(3, 3), policy, report=False)
 
+    def test_a_band_that_fails_its_check_never_reaches_the_kernels(self, monkeypatch):
+        # should the band check and validate_probmap ever disagree, the band's verdict still stands
+        monkeypatch.setattr(segboost.booster, "_is_probmap", lambda band, axis: False)
+        with pytest.raises(ValidationError, match="failed validation"):
+            _run(_stack(np.random.default_rng(53), 2, 6, 3), VicinitySpec(3, 3), "ruv", report=False)
+
 
 @st.composite
 def _class_major_case(draw, heights=st.integers(1, 5)):

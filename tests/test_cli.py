@@ -52,7 +52,8 @@ def count_stages(monkeypatch):
     """
     stages = {
         "validate": ({"booster": "_is_probmap", "cli": "validate_probmap"}, _rows_of),
-        "vote": ({"booster": "_band_votes"}, lambda p_oh, v, rows: (len(p_oh), range(*rows.indices(len(p_oh))))),
+        "vote": ({"booster": "_band_votes", "cli": "vote_integral"},
+                 lambda p_oh, v, rows=slice(None), *_: (len(p_oh), range(*rows.indices(len(p_oh))))),
         "confidence": ({"booster": "_neg_entropy", "cli": "_neg_entropy"}, _rows_of),
         "weights": ({"booster": "_image_weights", "cli": "_image_weights"}, lambda planes: planes.shape[0]),
         "argmax": ({"booster": "_argmax", "cli": "argmax_labels"}, _rows_of),
