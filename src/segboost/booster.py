@@ -25,14 +25,20 @@ single ``(H, W, K)`` map as a class-last stack of one; the simulator
 passes its class-major ``(2, K, batch, H, W)`` probabilities as they are.
 Either way the pipeline walks the stack in bands of rows, with one kernel
 per stage for both layouts, so no map-size temporary exists beside the
-float32 output: the traced peak at 1024x2048x19 is about 1.4x the input.
-Every image of a stack gets the bytes a call of its own would give, in
-either layout and at any band height.
+float32 output. The calling thread and a private worker thread split the
+bands of each pass, two bands in flight, while numpy's kernels release
+the GIL: at 1024x2048x19 the traced peak is about 1.4x the input, and on
+two CPUs a call takes about half its one-thread time. A stack of one
+band, as the simulator's are, runs inline. Every image of a stack gets
+the bytes a call of its own would give, in either layout, at any band
+height and on any number of threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,8 +129,119 @@ def _blend(hot: np.ndarray, mixed: np.ndarray, weights: np.ndarray, out: np.ndar
     out[...] = mixed
 
 
-# Rows per band of the pipeline; no output byte depends on it.
-_BAND_ROWS = 64
+# Rows per band of the pipeline, and the most bands in flight: the calling thread and
+# _THREADS - 1 private workers run the bands of each pass. No output byte depends on either.
+_BAND_ROWS = 32
+_THREADS = min(2, os.cpu_count() or 1)
+
+
+class _Stopped(Exception):
+    """Ends a thread's share of a pass once a band on another thread has raised."""
+
+
+class _Turns:
+    """One step of a pass that the bands take in band order, whichever thread runs them."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._next = 0
+        self.stopped = False
+
+    def take(self, i: int) -> None:
+        """Wait until every band before band ``i`` has given its turn up; raise ``_Stopped`` on a stop."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._next == i or self.stopped)
+            if self.stopped:
+                raise _Stopped
+
+    def give(self, i: int) -> None:
+        with self._cond:
+            self._next = i + 1
+            self._cond.notify_all()
+
+    def stop(self) -> None:
+        with self._cond:
+            self.stopped = True
+            self._cond.notify_all()
+
+
+def _start_worker():
+    """The job queue of a new private daemon thread, which runs each job put on it in turn."""
+    import queue  # on the first pass of more than one band: importing it costs about 1.5 ms
+
+    jobs = queue.SimpleQueue()
+
+    def serve() -> None:
+        while True:
+            job = jobs.get()
+            job()  # catches what its bands raise
+            job = None  # lets go of the pass's arrays while it waits
+
+    threading.Thread(target=serve, name="segboost-bands", daemon=True).start()
+    return jobs
+
+
+_workers = []  # the job queues of the private workers, started by the first pass with more than one band
+# Held by the pass that uses the workers: two passes whose jobs queued on two workers in
+# opposite orders would each wait for a band of the other's.
+_lock = threading.Lock()
+
+
+def _forget_workers() -> None:
+    """A forked child has none of its parent's threads; its first pass starts its own."""
+    global _lock
+    _workers.clear()
+    _lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _split(count: int, band) -> None:
+    """Run ``band(i, turns)`` for each ``i`` in ``range(count)``, thread ``t`` of T taking bands t, t + T, ...
+
+    T is ``min(_THREADS, count)``: thread 0 is the caller, the others are
+    private workers. One band, or workers busy with another caller's pass,
+    run inline in band order. ``turns`` is a :class:`_Turns` for the one
+    step that must go in band order. Once a band raises, every other thread
+    stops before its next band or turn; when all have stopped, the caller
+    raises the exception of the lowest band that raised.
+    """
+    turns = _Turns()
+    threads = min(_THREADS, count)
+    if threads < 2 or not _lock.acquire(blocking=False):
+        for i in range(count):
+            band(i, turns)
+        return
+    raised = {}
+    done = threading.Semaphore(0)
+
+    def share(t: int) -> None:
+        try:
+            for i in range(t, count, threads):
+                if turns.stopped:
+                    break
+                band(i, turns)
+        except _Stopped:
+            pass
+        except BaseException as exc:  # raised again on the caller
+            raised[i] = exc
+            turns.stop()
+        done.release()
+
+    try:
+        while len(_workers) < threads - 1:
+            _workers.append(_start_worker())
+        for t in range(1, threads):
+            _workers[t - 1].put(lambda t=t: share(t))
+        share(0)
+        for _ in range(threads):
+            done.acquire()
+    finally:
+        turns.stop()  # a worker still in its share after an interrupt ends it at its next band
+        _lock.release()
+    if raised:
+        raise raised[min(raised)]
 
 
 def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -1):
@@ -141,21 +258,26 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
     ``report``.
 
     Bands slice the row axis of all images at once, ``_BAND_ROWS`` rows
-    each. Pass 1 checks each band and keeps only its argmax and confidence
-    planes; a band that fails makes :func:`validate_probmap` check the
-    whole stack, class-last, so the message names the stack's first fault.
-    The min-max weights are then taken per image. Pass 2 builds each band's
-    one-hot over the band and a halo of the window's row radius, counts
-    votes for the band's rows, blends them into the preallocated float32
-    output and takes the boosted argmax. With ``report`` the band's votes
-    are copied class-last into a float64 buffer whose leading row carries
-    each image's running vote mass, so one reduction adds them pixel by
-    pixel in the order of ``votes.mean(axis=(0, 1), dtype=np.float64)`` for
-    two classes or more, and the blend scales that copy. (For one class
-    numpy sums pairwise, which gives the same bits wherever the float64 sum
-    is exact, as it is for every window that fits a map of fewer than 2**28
-    pixels.) Window counts are integers and confidence is per pixel, so no
-    output byte depends on the band height.
+    each, and each pass runs its bands on up to ``_THREADS`` threads (see
+    :func:`_split`); the bands of a pass write disjoint rows, and numpy
+    releases the GIL in their kernels. Pass 1 checks each band and keeps
+    only its argmax and confidence planes; once a band fails and every
+    thread has stopped, :func:`validate_probmap` checks the whole stack,
+    class-last, so the message names the stack's first fault. The min-max
+    weights are then taken per image. Pass 2 builds each band's one-hot
+    over the band and a halo of the window's row radius, counts votes for
+    the band's rows, blends them into the preallocated float32 output and
+    takes the boosted argmax. With ``report`` the band's votes are copied
+    class-last into a float64 buffer whose leading row carries each image's
+    running vote mass; the bands take turns, in band order, to add their
+    buffer to the running mass before the blend scales the copy, so one
+    reduction adds them pixel by pixel in the order of
+    ``votes.mean(axis=(0, 1), dtype=np.float64)`` for two classes or more.
+    (For one class numpy sums pairwise, which gives the same bits wherever
+    the float64 sum is exact, as it is for every window that fits a map of
+    fewer than 2**28 pixels.) Window counts are integers and confidence is
+    per pixel, so no output byte depends on the band height or the thread
+    count.
     """
     if policy not in POLICIES:
         raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
@@ -169,15 +291,22 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
     weigh = policy != "none" or report
     labels = np.empty(planes, dtype=np.uint16)
     conf = np.empty(planes) if weigh else None
-    for rows in bands:
+
+    def check(i, turns):
+        rows = bands[i]
         band = stack[(..., rows) + cols]
         if not _is_probmap(band, axis):  # one check for NaN, range and row sums; the kernels below skip it
-            last = np.moveaxis(stack, axis, -1)
-            validate_probmap(last.reshape((-1,) + last.shape[-2:]))
-            raise ValidationError("probability map failed validation")  # should the two checks ever disagree
+            raise ValidationError("probability map failed validation")  # should the whole-stack check pass
         labels[..., rows, :] = _argmax(band, axis)
         if weigh:
             conf[..., rows, :] = _neg_entropy(band, axis)
+
+    try:
+        _split(len(bands), check)
+    except ValidationError:  # a band failed, and every thread has stopped
+        last = np.moveaxis(stack, axis, -1)
+        validate_probmap(last.reshape((-1,) + last.shape[-2:]))
+        raise
     weights = _image_weights(conf) if weigh else None
     if weigh:  # the weights with a class axis of length 1
         wide = list(stack.shape)
@@ -187,7 +316,10 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
     vote_mass = np.zeros((n, k)) if report else None
     after = np.empty(planes, dtype=np.uint16) if report else None
     reach = vicinity.height // 2 if policy == "ruv" else 0
-    for rows in bands:
+
+    def vote(i, turns):
+        nonlocal vote_mass
+        rows = bands[i]
         out = data[(..., rows) + cols]
         lo, hi = max(rows.start - reach, 0), min(rows.stop + reach, h)
         block = _one_hot(labels[..., lo:hi, :], k, axis)
@@ -203,10 +335,12 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
             votes = hot
         if report:
             tally = np.empty((n, 1 + (rows.stop - rows.start) * w, k))
-            tally[:, 0] = vote_mass
             mixed = np.moveaxis(tally[:, 1:].reshape(labels[..., rows, :].shape + (k,)), -1, axis)
             mixed[...] = votes
+            turns.take(i)  # the running mass takes the bands in band order, whichever thread ran them
+            tally[:, 0] = vote_mass
             vote_mass = np.add.reduce(tally, axis=1)
+            turns.give(i)
         elif policy != "none":
             mixed = np.empty(out.shape)
             mixed[...] = votes
@@ -216,7 +350,8 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
             _blend(hot, mixed, wide[(..., rows) + cols], out)
         if report:
             after[..., rows, :] = _argmax(out, axis)
-        block = hot = votes = mixed = tally = None  # freed before the next band takes the same sizes again
+
+    _split(len(bands), vote)
     if report:
         vote_mass /= h * w
     return labels, data, conf, weights, vote_mass, after

@@ -35,8 +35,8 @@ from .confidence import _image_weights, _neg_entropy
 from .metrics import ConfusionMatrix
 from .pgm import labels_to_gray, write_pgm
 from .simulate import SimConfig, TrainingDiverged, ablate, rows_to_csv
-from .tensors import (IGNORE_LABEL, TensorFormatError, ValidationError, _check_classes, _ten1_parts, argmax_labels,
-                      one_hot, read_tensor, validate_probmap)
+from .tensors import (IGNORE_LABEL, TensorFormatError, ValidationError, _check_classes, _read_ten1_file, _ten1_parts,
+                      argmax_labels, one_hot, validate_probmap)
 from .voting import BORDER_MODES, VicinitySpec, vote_integral
 
 
@@ -81,7 +81,7 @@ _LABELS = ("2-D u16 label map", 2, np.uint16)
 
 def _read_file(path: str, *kinds) -> np.ndarray:
     """The tensor in a TEN1 file, which must be one of ``kinds``."""
-    arr = read_tensor(Path(path).read_bytes())
+    arr = _read_ten1_file(path)
     if not any(arr.ndim == ndim and arr.dtype == dtype for _, ndim, dtype in kinds):
         wanted = " or ".join(name for name, _, _ in kinds)
         raise ValidationError(f"{path}: expected a {wanted}, got {arr.dtype} with shape {arr.shape}")

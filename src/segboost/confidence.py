@@ -64,7 +64,7 @@ def adaptive_weights(conf: np.ndarray) -> np.ndarray:
         raise ValidationError(f"confidence plane must be 2-D, got shape {conf.shape}")
     if not np.isfinite(conf).all():
         r, c = np.argwhere(~np.isfinite(conf))[0]
-        raise ValidationError(f"non-finite confidence {conf[r, c]!r} at pixel ({r}, {c})")
+        raise ValidationError(f"non-finite confidence {conf[r, c]!s} at pixel ({r}, {c})")
     return _image_weights(conf[None])[0]
 
 

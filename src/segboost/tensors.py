@@ -9,12 +9,14 @@ Conventions used throughout the package:
 * one-hot maps are ``(H, W, K)`` uint8 arrays with rows summing to 1
   (0 for void pixels).
 
-Everything here is a pure function over immutable inputs; nothing keeps
-state, so all of it is safe to call from multiple threads.
+Everything here is a pure function over immutable inputs (the private
+file reader only reads its file); nothing keeps state, so all of it is
+safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from numbers import Integral
 
@@ -25,6 +27,7 @@ IGNORE_LABEL = 65535  # 2**16 - 1, reserved; labels must stay below it
 _MAGIC = b"TEN1"
 _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<u2"), 2: np.dtype("<u1")}
 _CODE_FOR_KIND = {"f4": 0, "u2": 1, "u1": 2}
+_TEN1_HEADER_MAX = 6 + 8 * 255  # magic, dtype and rank bytes, then up to 255 dims
 
 
 class TensorFormatError(ValueError):
@@ -136,12 +139,13 @@ def _over_classes(op, x: np.ndarray, dtype=None, axis: int = -1) -> np.ndarray:
 
 
 def _check_shape(pred) -> np.ndarray:
-    """The map as an array, after checking it is (H, W, K) and of real numbers: bool, integer or float."""
+    """The map as an array, after checking it is (H, W, K), K a valid class count, and of real numbers."""
     pred = np.asarray(pred)
     if pred.ndim != 3 or pred.shape[2] < 1:
         raise ValidationError(f"probability map must be (H, W, K), got shape {pred.shape}")
     if pred.dtype.kind not in "biuf":
         raise ValidationError(f"probability map must be bool, integer or float, got dtype {pred.dtype}")
+    _check_classes(pred.shape[2])  # labels are uint16, with IGNORE_LABEL reserved
     return pred
 
 
@@ -190,7 +194,7 @@ def _check_values(pred) -> np.ndarray:
     if outside.any():
         r, c, k = np.argwhere(outside)[0]
         raise ValidationError(
-            f"probability {pred[r, c, k]!r} at pixel ({r}, {c}), class {k} outside [0, 1]"
+            f"probability {pred[r, c, k]!s} at pixel ({r}, {c}), class {k} outside [0, 1]"
         )
     return pred
 
@@ -240,33 +244,66 @@ def write_tensor(arr: np.ndarray) -> bytes:
     return header + payload.tobytes()
 
 
-def read_tensor(data: bytes) -> np.ndarray:
-    """Parse TEN1 bytes back into an array; the exact inverse of write_tensor."""
-    if len(data) < 6:
-        raise TensorFormatError("truncated header", len(data))
-    magic, code, ndim = struct.unpack_from("<4sBB", data, 0)
+def _ten1_layout(head: bytes, size: int) -> tuple[np.dtype, tuple, int, int]:
+    """``(dtype, dims, count, start)`` of the TEN1 bytes of ``size`` bytes that begin with ``head``.
+
+    ``head`` holds the header, or all of the bytes if there are fewer;
+    ``count`` elements of ``dtype`` begin at offset ``start``. Raises
+    :class:`TensorFormatError` unless the header is whole and valid and
+    the payload fills the rest of the bytes exactly.
+    """
+    if size < 6:
+        raise TensorFormatError("truncated header", size)
+    magic, code, ndim = struct.unpack_from("<4sBB", head, 0)
     if magic != _MAGIC:
         raise TensorFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}", 0)
     if code not in _DTYPE_CODES:
         raise TensorFormatError(f"unknown dtype code {code}", 4)
     dims_end = 6 + 8 * ndim
-    if len(data) < dims_end:
-        raise TensorFormatError(f"truncated dims: need {dims_end} header bytes", len(data))
-    dims = struct.unpack_from(f"<{ndim}Q", data, 6)
+    if size < dims_end:
+        raise TensorFormatError(f"truncated dims: need {dims_end} header bytes", size)
+    dims = struct.unpack_from(f"<{ndim}Q", head, 6)
     dtype = _DTYPE_CODES[code]
     count = 1
     for d in dims:
         count *= d
     expected_end = dims_end + count * dtype.itemsize
-    if len(data) != expected_end:
-        kind = "truncated" if len(data) < expected_end else "oversized"
+    if size != expected_end:
+        kind = "truncated" if size < expected_end else "oversized"
         raise TensorFormatError(
             f"{kind} payload: expected {count} elements ending at byte {expected_end}, "
-            f"got {len(data) - dims_end} payload bytes",
-            min(len(data), expected_end),
+            f"got {size - dims_end} payload bytes",
+            min(size, expected_end),
         )
-    flat = np.frombuffer(data, dtype=dtype, count=count, offset=dims_end)
+    return dtype, dims, count, dims_end
+
+
+def _shaped(flat: np.ndarray, dims: tuple) -> np.ndarray:
+    """The flat payload of a TEN1 tensor given its dims."""
     try:  # an empty tensor can still name dims numpy cannot hold
-        return flat.reshape(dims).copy()
+        return flat.reshape(dims)
     except ValueError as exc:
         raise TensorFormatError(f"dims {dims} not representable: {exc}", 6) from None
+
+
+def read_tensor(data: bytes) -> np.ndarray:
+    """Parse TEN1 bytes back into an array; the exact inverse of write_tensor."""
+    dtype, dims, count, start = _ten1_layout(data, len(data))
+    return _shaped(np.frombuffer(data, dtype=dtype, count=count, offset=start), dims).copy()
+
+
+def _read_ten1_file(path) -> np.ndarray:
+    """:func:`read_tensor` of a file's bytes, with the payload read straight into the array it returns."""
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        dtype, dims, count, start = _ten1_layout(f.read(min(size, _TEN1_HEADER_MAX)), size)
+        flat = np.empty(count, dtype=dtype)
+        payload = memoryview(flat).cast("B")
+        f.seek(start)
+        done = 0
+        while done < len(payload):
+            got = f.readinto(payload[done:])
+            if not got:  # the file shrank after its size was read
+                raise TensorFormatError("truncated payload", start + done)
+            done += got
+    return _shaped(flat, dims)

@@ -15,7 +15,9 @@ conventions are supported:
 All counting is integer and the division happens once at the end, so the
 reference path (:func:`vote_naive`) and the summed-area-table path
 (:func:`vote_integral`) produce bit-identical float32 output, and results
-do not depend on how the work is partitioned across threads. The reference
+do not depend on how the work is partitioned across threads: the booster
+counts the votes of its row bands on two threads at once, each band's
+rows from a table over the band and its halo. The reference
 path counts each window and measures its in-bounds area in its own loop;
 it shares only that final division with the path it checks.
 

@@ -1,6 +1,10 @@
 """Blending one-hot labels with regional votes under adaptive weights."""
 
+import multiprocessing
 import re
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -457,25 +461,27 @@ def _band_case(draw):
     return (raw / raw.sum(axis=-1, keepdims=True)).astype(dtype)
 
 
-def _one_band_and_banded(band, run):
-    """``run()`` with one band for each whole image, then with bands of ``band`` rows."""
+def _one_band_and_banded(band, run, threads=1):
+    """``run()`` with one band for each whole image on one thread, then with bands of ``band`` rows on ``threads``."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(segboost.booster, "_BAND_ROWS", 10**9)
+        patch.setattr(segboost.booster, "_THREADS", 1)
         whole = run()
         patch.setattr(segboost.booster, "_BAND_ROWS", band)
+        patch.setattr(segboost.booster, "_THREADS", threads)
         return whole, run()
 
 
 class TestBands:
-    """No output byte of the pipeline depends on its band height, in either layout."""
+    """No output byte of the pipeline depends on its band height or thread count, in either layout."""
 
     # 43 rows is taller than every map, and a band of 21 rows holds any of its images whole
-    @given(stack=_band_case(), band=st.sampled_from([1, 2, 3, 7, 21]), policy=st.sampled_from(POLICIES),
-           border=st.sampled_from(["clip", "zero"]), report=st.booleans(),
+    @given(stack=_band_case(), band=st.sampled_from([1, 2, 3, 7, 21]), threads=st.sampled_from([1, 2, 3]),
+           policy=st.sampled_from(POLICIES), border=st.sampled_from(["clip", "zero"]), report=st.booleans(),
            size=st.tuples(st.sampled_from([1, 3, 5, 43]), st.sampled_from([1, 3, 15])))
-    def test_run_gives_the_bytes_of_one_band(self, stack, band, policy, border, size, report):
+    def test_run_gives_the_bytes_of_one_band(self, stack, band, threads, policy, border, size, report):
         v = VicinitySpec(*size, border)
-        whole, banded = _one_band_and_banded(band, lambda: _run(stack, v, policy, report))
+        whole, banded = _one_band_and_banded(band, lambda: _run(stack, v, policy, report), threads)
         for name, a, b in zip(("labels", "boosted", "confidence", "weights", "vote_mass", "boosted_labels"),
                               whole, banded):
             if a is None:
@@ -485,12 +491,13 @@ class TestBands:
             assert b.tobytes() == a.tobytes(), name
 
     @given(case=_class_major_case(heights=st.integers(8, 16)), band=st.sampled_from([1, 2, 7]),
-           policy=st.sampled_from(POLICIES), border=st.sampled_from(["clip", "zero"]), report=st.booleans(),
+           threads=st.sampled_from([1, 2, 3]), policy=st.sampled_from(POLICIES),
+           border=st.sampled_from(["clip", "zero"]), report=st.booleans(),
            size=st.tuples(st.sampled_from([1, 3, 5, 33]), st.sampled_from([1, 3, 15])))
-    def test_class_major_run_gives_the_bytes_of_one_band(self, case, band, policy, border, report, size):
+    def test_class_major_run_gives_the_bytes_of_one_band(self, case, band, threads, policy, border, report, size):
         _, major, axis = case
         v = VicinitySpec(*size, border)
-        whole, banded = _one_band_and_banded(band, lambda: _run(major, v, policy, report, axis=axis))
+        whole, banded = _one_band_and_banded(band, lambda: _run(major, v, policy, report, axis=axis), threads)
         for name, a, b in zip(("labels", "boosted", "confidence", "weights", "vote_mass", "boosted_labels"),
                               whole, banded):
             if a is None:
@@ -499,12 +506,13 @@ class TestBands:
             assert (b.dtype, b.shape) == (a.dtype, a.shape), name
             assert b.tobytes() == a.tobytes(), name
 
-    @given(stack=_band_case(), band=st.sampled_from([1, 2, 7, 21]), policy=st.sampled_from(POLICIES),
-           border=st.sampled_from(["clip", "zero"]), size=st.sampled_from([1, 3, 43]))
-    def test_boost_and_report_give_the_bytes_of_one_band(self, stack, band, policy, border, size):
+    @given(stack=_band_case(), band=st.sampled_from([1, 2, 7, 21]), threads=st.sampled_from([1, 2, 3]),
+           policy=st.sampled_from(POLICIES), border=st.sampled_from(["clip", "zero"]),
+           size=st.sampled_from([1, 3, 43]))
+    def test_boost_and_report_give_the_bytes_of_one_band(self, stack, band, threads, policy, border, size):
         pred, v = stack[0], VicinitySpec(size, 3, border)
-        whole, banded = _one_band_and_banded(band,
-                                             lambda: (boost(pred, v, policy), boost_report(pred, v, policy)))
+        whole, banded = _one_band_and_banded(
+            band, lambda: (boost(pred, v, policy), boost_report(pred, v, policy)), threads)
         assert banded[0].data.tobytes() == whole[0].data.tobytes()
         for field in ("changed_fraction", "mean_weight", "mean_confidence"):
             assert getattr(banded[1], field) == getattr(whole[1], field), field
@@ -512,9 +520,10 @@ class TestBands:
             assert getattr(banded[1], field).tobytes() == getattr(whole[1], field).tobytes(), field
         assert banded[1].boosted.data.tobytes() == whole[1].boosted.data.tobytes()
 
-    @given(stack=_band_case(), band=st.sampled_from([1, 2, 7]), policy=st.sampled_from(POLICIES),
-           fault=st.sampled_from(["nan", "range", "sum"]), earlier=st.booleans(), data=st.data())
-    def test_fault_in_the_last_band_names_the_whole_map(self, stack, band, policy, fault, earlier, data):
+    @given(stack=_band_case(), band=st.sampled_from([1, 2, 7]), threads=st.sampled_from([1, 2, 3]),
+           policy=st.sampled_from(POLICIES), fault=st.sampled_from(["nan", "range", "sum"]), earlier=st.booleans(),
+           data=st.data())
+    def test_fault_in_the_last_band_names_the_whole_map(self, stack, band, threads, policy, fault, earlier, data):
         n, h, w, k = stack.shape
         r = data.draw(st.integers((h - 1) // band * band, h - 1))  # a row of the last image's last band
         c, j = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, k - 1))
@@ -528,6 +537,7 @@ class TestBands:
             validate_probmap(stack.reshape(n * h, w, k))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(segboost.booster, "_BAND_ROWS", band)
+            patch.setattr(segboost.booster, "_THREADS", threads)
             with pytest.raises(ValidationError) as banded:
                 _run(stack, VicinitySpec(3, 3), policy, report=False)
         assert str(banded.value) == str(whole.value)
@@ -552,7 +562,123 @@ class TestBands:
         scale = (10.0 ** rng.uniform(-30, 10, size=(9, 3))).astype(np.float32)
         def wide_votes(p_oh, v):
             return np.where(p_oh == 1, scale, scale / np.float32(3))
-        monkeypatch.setattr(segboost.booster, "_band_votes", lambda p_oh, v, rows: wide_votes(p_oh[rows], v))
+        def late_on_the_caller(p_oh, v, rows):  # so a worker's later bands have their votes first
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.01)
+            return wide_votes(p_oh[rows], v)
+        monkeypatch.setattr(segboost.booster, "_band_votes", late_on_the_caller)
         monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 7)
         want = wide_votes(one_hot(argmax_labels(pred), 3), None).mean(axis=(0, 1), dtype=np.float64)
-        assert boost_report(pred, VicinitySpec(3, 3), "ruv").class_vote_mass.tobytes() == want.tobytes()
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(segboost.booster, "_THREADS", threads)
+            assert boost_report(pred, VicinitySpec(3, 3), "ruv").class_vote_mass.tobytes() == want.tobytes()
+
+
+def _fork_child_boost(pred, conn):
+    """Send the bytes of ``boost(pred)`` back over ``conn``; run in a forked child."""
+    conn.send(boost(pred, VicinitySpec(5, 5), "ruv").data.tobytes())
+
+
+class TestThreads:
+    """The calling thread and private workers split each pass: failures, forks, other callers."""
+
+    def test_a_fault_in_a_workers_band_names_the_whole_map(self, monkeypatch):
+        stack = _stack(np.random.default_rng(80), 9, 4, 3)
+        stack[1, 3, 2] = [0.5, 0.5, 0.5]  # in band 1 of 3-row bands: the worker's
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 3)
+        monkeypatch.setattr(segboost.booster, "_THREADS", 2)
+        failed_on = []
+        check = segboost.booster._is_probmap
+        def recorded(band, axis):
+            ok = check(band, axis)
+            if not ok:
+                failed_on.append(threading.current_thread())
+            return ok
+        monkeypatch.setattr(segboost.booster, "_is_probmap", recorded)
+        with pytest.raises(ValidationError) as whole:
+            validate_probmap(stack.reshape(36, 4, 3))
+        with pytest.raises(ValidationError) as banded:
+            _run(stack, VicinitySpec(3, 3), "ruv", report=True)
+        assert str(banded.value) == str(whole.value)
+        assert failed_on and threading.main_thread() not in failed_on
+
+    def test_an_exception_on_a_worker_is_raised_on_the_caller(self, monkeypatch):
+        pred = _random_probmap(np.random.default_rng(81), 12, 5, 3)
+        want = boost(pred, VicinitySpec(3, 3), "ruv").data.tobytes()
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 3)
+        monkeypatch.setattr(segboost.booster, "_THREADS", 2)
+        votes = segboost.booster._band_votes
+        def fail_off_the_caller(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("band failed on a worker")
+            return votes(*args)
+        monkeypatch.setattr(segboost.booster, "_band_votes", fail_off_the_caller)
+        for run in (boost, boost_report):  # with and without the band-ordered step
+            with pytest.raises(RuntimeError, match="on a worker"):
+                run(pred, VicinitySpec(3, 3), "ruv")
+        monkeypatch.setattr(segboost.booster, "_band_votes", votes)
+        assert boost(pred, VicinitySpec(3, 3), "ruv").data.tobytes() == want  # the workers still serve
+
+    def test_one_band_never_starts_or_uses_a_worker(self, monkeypatch):
+        class NoJobs:
+            def put(self, job):
+                pytest.fail("a worker got a job")
+        def no_worker():
+            pytest.fail("a worker started")
+        monkeypatch.setattr(segboost.booster, "_workers", [NoJobs()])
+        monkeypatch.setattr(segboost.booster, "_start_worker", no_worker)
+        monkeypatch.setattr(segboost.booster, "_THREADS", 3)
+        pred = _random_probmap(np.random.default_rng(82), 32, 6, 3)  # one 32-row band
+        boost_report(pred, VicinitySpec(3, 3), "ruv")
+        _run(np.ascontiguousarray(np.moveaxis(pred[None], -1, 0)), VicinitySpec(3, 3), "ruv", report=False, axis=0)
+        with pytest.raises(pytest.fail.Exception, match="a worker started"):  # 3 bands: a second worker
+            boost(np.concatenate([pred, pred, pred]), VicinitySpec(3, 3), "ruv")
+        monkeypatch.setattr(segboost.booster, "_THREADS", 2)
+        with pytest.raises(pytest.fail.Exception, match="a worker got a job"):
+            boost(np.concatenate([pred, pred]), VicinitySpec(3, 3), "ruv")
+
+    def test_concurrent_callers_get_their_own_bytes(self, monkeypatch):
+        # more threads than cores, switching often: a band run twice, skipped or added out of turn changes bytes
+        preds = [_random_probmap(np.random.default_rng(83 + i), 24, 16, 5) for i in range(4)]
+        monkeypatch.setattr(segboost.booster, "_THREADS", 1)
+        want = [boost_report(p, VicinitySpec(5, 5), "ruv") for p in preds]
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 2)
+        monkeypatch.setattr(segboost.booster, "_THREADS", 3)
+        got = [[] for _ in preds]
+        def call(i):
+            for _ in range(5):
+                got[i].append(boost_report(preds[i], VicinitySpec(5, 5), "ruv"))
+        callers = [threading.Thread(target=call, args=(i,), daemon=True) for i in range(len(preds))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in callers:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in callers:
+                t.join(timeout=max(deadline - time.monotonic(), 0))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for a, runs in zip(want, got):
+            assert len(runs) == 5
+            for b in runs:
+                assert b.boosted.data.tobytes() == a.boosted.data.tobytes()
+                assert b.class_vote_mass.tobytes() == a.class_vote_mass.tobytes()
+
+    def test_a_forked_child_can_still_boost(self, monkeypatch):
+        monkeypatch.setattr(segboost.booster, "_THREADS", 2)
+        pred = _random_probmap(np.random.default_rng(84), 100, 8, 4)  # four 32-row bands
+        want = boost(pred, VicinitySpec(5, 5), "ruv").data.tobytes()  # the parent's workers are running
+        assert segboost.booster._workers
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_fork_child_boost, args=(pred, send))
+        child.start()
+        try:
+            assert receive.poll(30), "the forked child hung"
+            assert receive.recv() == want
+        finally:
+            child.join(5)
+            if child.is_alive():
+                child.kill()

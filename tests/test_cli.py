@@ -1,7 +1,9 @@
 """Command-line surface: subcommands, file round-trips, exit codes."""
 
 import io
+import threading
 import warnings
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -208,6 +210,7 @@ class TestBoostCommand:
         path, pred = probmap
         every_row = list(range(pred.shape[0]))  # 12 rows: bands 0-4, 5-9 and 10-11
         monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 5)
+        monkeypatch.setattr(segboost.booster, "_THREADS", 1)  # the stages then see the bands in order
         cover = count_stages(monkeypatch)
         assert run_cli("boost", str(path), "--out", str(tmp_path / "b.ten1"), "--vicinity", "3", *harden)[0] == 0
         assert covered_rows(cover["validate"]) == covered_rows(cover["confidence"]) == [every_row]
@@ -217,6 +220,27 @@ class TestBoostCommand:
         # each band's one-hot has a halo of the window's row radius, 1, clipped to the map: rows 0-5, 4-10
         # and 9-11; votes come only for the band's own rows 0-4, 5-9 and 10-11
         assert cover["vote"] == [(6, range(0, 5)), (7, range(1, 6)), (3, range(1, 3))]
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_each_stage_runs_once_on_threads(self, probmap, tmp_path, monkeypatch, threads):
+        path, pred = probmap
+        every_row = list(range(pred.shape[0]))
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 5)
+        monkeypatch.setattr(segboost.booster, "_THREADS", threads)
+        cover = count_stages(monkeypatch)
+        ran_on = set()
+        argmax = segboost.booster._argmax
+        def recorded(*args):
+            ran_on.add(threading.current_thread())
+            return argmax(*args)
+        monkeypatch.setattr(segboost.booster, "_argmax", recorded)
+        assert run_cli("boost", str(path), "--out", str(tmp_path / "b.ten1"), "--vicinity", "3")[0] == 0
+        assert len(ran_on) == threads  # 3 bands: one thread each, or the caller takes bands 0 and 2
+        # the same bands as on one thread, each once, in whatever order the threads ran them
+        for stage, maps in (("validate", 1), ("confidence", 1), ("argmax", 2)):
+            assert [sorted(rows) for rows in covered_rows(cover[stage])] == [every_row] * maps, stage
+        assert cover["weights"] == [1]
+        assert Counter(cover["vote"]) == Counter([(6, range(0, 5)), (7, range(1, 6)), (3, range(1, 3))])
 
     @pytest.mark.parametrize("policy", ["ruv", "uniform", "none"])
     @pytest.mark.parametrize("border", ["clip", "zero"])

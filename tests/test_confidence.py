@@ -74,6 +74,11 @@ class TestConfidence:
 
 
 class TestAdaptiveWeights:
+    def test_non_finite_message_prints_a_plain_number(self):
+        with pytest.raises(ValidationError) as info:
+            adaptive_weights(np.array([[0.0, np.nan]]))
+        assert str(info.value) == "non-finite confidence nan at pixel (0, 1)"
+
     def test_extremes_hit_exact_zero_and_one(self):
         conf = np.array([[-2.0, -0.5], [-1.25, 0.0]])
         w = adaptive_weights(conf)

@@ -1,6 +1,13 @@
-"""The public namespace of the package."""
+"""The public namespace of the package, and what importing it costs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import segboost
+
+SRC = str(Path(segboost.__file__).resolve().parents[1])
 
 PUBLIC = {
     "IGNORE_LABEL", "BORDER_MODES", "POLICIES", "KL_MODES", "LOSSES", "CSV_HEADER",
@@ -22,3 +29,13 @@ def test_all_is_pinned_and_resolves():
     assert set(segboost.__all__) == PUBLIC
     for name in segboost.__all__:
         assert getattr(segboost, name) is not None
+
+
+def test_import_starts_no_thread_and_loads_no_executor():
+    # the boost workers start on the first pass with more than one band; importing costs neither them
+    # nor concurrent.futures (a few ms of import time)
+    probe = ("import sys, threading; import segboost; "
+             "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["1", "False"]

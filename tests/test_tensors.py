@@ -1,6 +1,8 @@
 """Label/probability map transforms and the TEN1 byte format."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +15,15 @@ from segboost import (
     TensorFormatError,
     ValidationError,
     argmax_labels,
+    boost,
+    boost_report,
+    confidence,
     one_hot,
     read_tensor,
     validate_probmap,
     write_tensor,
 )
+from segboost.tensors import _read_ten1_file
 
 
 class TestOneHot:
@@ -120,6 +126,11 @@ class TestValidateProbmap:
         pred = np.full((3, 3, 4), 0.25, dtype=np.float32)
         assert validate_probmap(pred) is pred
 
+    def test_range_message_prints_a_plain_number(self):
+        with pytest.raises(ValidationError) as info:
+            validate_probmap(np.full((1, 1, 2), 2.0))
+        assert str(info.value) == "probability 2.0 at pixel (0, 0), class 0 outside [0, 1]"
+
     def test_rejects_negative_and_above_one(self):
         pred = np.full((2, 2, 2), 0.5)
         pred[0, 0, 0] = -0.1
@@ -137,6 +148,22 @@ class TestValidateProbmap:
         pred[1, 1, 0] = np.nan
         with pytest.raises(ValidationError, match="NaN"):
             validate_probmap(pred)
+
+
+class TestClassCount:
+    """A map's class count must leave every class a uint16 label below IGNORE_LABEL."""
+
+    @pytest.mark.parametrize("run", [boost, boost_report, validate_probmap, argmax_labels, confidence])
+    def test_more_classes_than_labels_rejected(self, run):
+        pred = np.zeros((1, 2, IGNORE_LABEL), dtype=np.float32)  # class 65534 would be labelled void
+        pred[..., -1] = 1.0
+        with pytest.raises(ValidationError, match="class count must be an integer from 1 to 65534, got 65535"):
+            run(pred)
+
+    def test_the_largest_class_count_keeps_its_labels(self):
+        pred = np.zeros((1, 2, IGNORE_LABEL - 1), dtype=np.float32)
+        pred[0, 0, 0] = pred[0, 1, -1] = 1.0
+        assert argmax_labels(pred).tolist() == [[0, IGNORE_LABEL - 2]]
 
 
 class TestTen1Format:
@@ -242,3 +269,49 @@ class TestTen1Properties:
         dims[zero_at % len(dims)] = 0
         blob = b"TEN1" + bytes([2, len(dims)]) + struct.pack(f"<{len(dims)}Q", *dims)
         _read_or_format_error(blob)
+
+
+def _read_file_and_bytes(blob: bytes):
+    """What the CLI's file reader and :func:`read_tensor` make of ``blob``: an array or a format error, each."""
+    results = []
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "t.ten1"
+        path.write_bytes(blob)
+        for read in (lambda: _read_ten1_file(path), lambda: read_tensor(blob)):
+            try:
+                results.append(read())
+            except TensorFormatError as exc:
+                results.append(exc)
+    return results
+
+
+_BLOBS = st.one_of(
+    st.binary(max_size=64),
+    st.builds(lambda code, ndim, tail: b"TEN1" + bytes([code, ndim]) + tail,
+              st.integers(0, 3), st.integers(0, 4), st.binary(max_size=48)),
+    st.builds(lambda shape, dtype, cut: write_tensor(np.ones(shape, dtype=dtype))[:cut],  # at most 286 bytes
+              st.lists(st.integers(0, 4), max_size=3), st.sampled_from(["<f4", "<u2", "u1"]), st.integers(0, 300)),
+    st.builds(lambda dims: b"TEN1" + bytes([2, len(dims)]) + struct.pack(f"<{len(dims)}Q", *dims),
+              st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3).map(lambda d: [0] + d)),
+)
+
+
+class TestTen1File:
+    """The CLI reads a TEN1 file into a fresh array with no copy of its payload, and reads it as read_tensor would."""
+
+    @given(blob=_BLOBS)
+    def test_same_array_or_error_as_read_tensor(self, blob):
+        from_file, from_bytes = _read_file_and_bytes(blob)
+        assert type(from_file) is type(from_bytes)
+        if isinstance(from_bytes, TensorFormatError):
+            assert (str(from_file), from_file.offset) == (str(from_bytes), from_bytes.offset)
+        else:
+            assert (from_file.dtype, from_file.shape) == (from_bytes.dtype, from_bytes.shape)
+            assert from_file.tobytes() == from_bytes.tobytes()
+
+    def test_payload_is_read_into_a_writable_array(self, tmp_path):
+        arr = np.random.default_rng(12).random((64, 48, 5)).astype(np.float32)
+        path = tmp_path / "t.ten1"
+        path.write_bytes(write_tensor(arr))
+        back = _read_ten1_file(path)
+        assert back.tobytes() == arr.tobytes() and back.flags.writeable
