@@ -25,13 +25,14 @@ single ``(H, W, K)`` map as a class-last stack of one; the simulator
 passes its class-major ``(2, K, batch, H, W)`` probabilities as they are.
 Either way the pipeline walks the stack in bands of rows, with one kernel
 per stage for both layouts, so no map-size temporary exists beside the
-float32 output. The calling thread and a private worker thread split the
-bands of each pass, two bands in flight, while numpy's kernels release
-the GIL: at 1024x2048x19 the traced peak is about 1.4x the input, and on
-two CPUs a call takes about half its one-thread time. A stack of one
-band, as the simulator's are, runs inline. Every image of a stack gets
-the bytes a call of its own would give, in either layout, at any band
-height and on any number of threads.
+float32 output. On two CPUs or more, each pass of more than one band
+starts a helper thread, splits its bands with it, two bands in flight
+while numpy's kernels release the GIL, and joins it before the pass
+ends, so no thread outlives a call: at 1024x2048x19 the traced peak is
+about 1.4x the input, and a call takes about half its one-thread time.
+A stack of one band, as the simulator's are, starts no thread. Every
+image of a stack gets the bytes a call of its own would give, in either
+layout, at any band height and on any number of threads.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def blend(p_oh: np.ndarray, votes: np.ndarray, weights: np.ndarray) -> np.ndarra
     outside = ~((weights >= 0) & (weights <= 1))  # NaN too
     if outside.any():
         r, c = np.argwhere(outside)[0]
-        raise ValidationError(f"weight {weights[r, c]} at pixel ({r}, {c}) is not in [0, 1]")
+        raise ValidationError(f"weight {weights[r, c]!s} at pixel ({r}, {c}) is not in [0, 1]")
     out = np.empty(votes.shape)  # float64 holds W exactly whatever the weights' dtype
     _blend(hot, np.array(votes, dtype=np.float64), weights[:, :, None], out)
     return out.astype(np.float32)
@@ -130,7 +131,7 @@ def _blend(hot: np.ndarray, mixed: np.ndarray, weights: np.ndarray, out: np.ndar
 
 
 # Rows per band of the pipeline, and the most bands in flight: the calling thread and
-# _THREADS - 1 private workers run the bands of each pass. No output byte depends on either.
+# _THREADS - 1 helper threads of its own run the bands of each pass. No output byte depends on either.
 _BAND_ROWS = 32
 _THREADS = min(2, os.cpu_count() or 1)
 
@@ -165,56 +166,20 @@ class _Turns:
             self._cond.notify_all()
 
 
-def _start_worker():
-    """The job queue of a new private daemon thread, which runs each job put on it in turn."""
-    import queue  # on the first pass of more than one band: importing it costs about 1.5 ms
-
-    jobs = queue.SimpleQueue()
-
-    def serve() -> None:
-        while True:
-            job = jobs.get()
-            job()  # catches what its bands raise
-            job = None  # lets go of the pass's arrays while it waits
-
-    threading.Thread(target=serve, name="segboost-bands", daemon=True).start()
-    return jobs
-
-
-_workers = []  # the job queues of the private workers, started by the first pass with more than one band
-# Held by the pass that uses the workers: two passes whose jobs queued on two workers in
-# opposite orders would each wait for a band of the other's.
-_lock = threading.Lock()
-
-
-def _forget_workers() -> None:
-    """A forked child has none of its parent's threads; its first pass starts its own."""
-    global _lock
-    _workers.clear()
-    _lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_workers)
-
-
 def _split(count: int, band) -> None:
     """Run ``band(i, turns)`` for each ``i`` in ``range(count)``, thread ``t`` of T taking bands t, t + T, ...
 
-    T is ``min(_THREADS, count)``: thread 0 is the caller, the others are
-    private workers. One band, or workers busy with another caller's pass,
-    run inline in band order. ``turns`` is a :class:`_Turns` for the one
-    step that must go in band order. Once a band raises, every other thread
-    stops before its next band or turn; when all have stopped, the caller
-    raises the exception of the lowest band that raised.
+    T is ``min(_THREADS, count)``, and at least 1: thread 0 is the caller,
+    which starts the other T - 1 for this call and joins them before it
+    returns or raises what a band raised, so no thread outlives the call.
+    ``turns`` is a :class:`_Turns` for the one step that must go in band
+    order. Once a band raises, every other thread stops before its next
+    band or turn; when all have stopped, the caller raises the exception
+    of the lowest band that raised.
     """
     turns = _Turns()
-    threads = min(_THREADS, count)
-    if threads < 2 or not _lock.acquire(blocking=False):
-        for i in range(count):
-            band(i, turns)
-        return
+    threads = max(min(_THREADS, count), 1)
     raised = {}
-    done = threading.Semaphore(0)
 
     def share(t: int) -> None:
         try:
@@ -227,19 +192,16 @@ def _split(count: int, band) -> None:
         except BaseException as exc:  # raised again on the caller
             raised[i] = exc
             turns.stop()
-        done.release()
 
+    helpers = [threading.Thread(target=share, args=(t,), name="segboost-bands") for t in range(1, threads)]
     try:
-        while len(_workers) < threads - 1:
-            _workers.append(_start_worker())
-        for t in range(1, threads):
-            _workers[t - 1].put(lambda t=t: share(t))
+        for helper in helpers:
+            helper.start()
         share(0)
-        for _ in range(threads):
-            done.acquire()
+        for helper in helpers:
+            helper.join()
     finally:
-        turns.stop()  # a worker still in its share after an interrupt ends it at its next band
-        _lock.release()
+        turns.stop()  # after an interrupt, a helper still in its share ends it at its next band
     if raised:
         raise raised[min(raised)]
 
@@ -258,8 +220,9 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
     ``report``.
 
     Bands slice the row axis of all images at once, ``_BAND_ROWS`` rows
-    each, and each pass runs its bands on up to ``_THREADS`` threads (see
-    :func:`_split`); the bands of a pass write disjoint rows, and numpy
+    each, and each pass runs its bands on up to ``_THREADS`` threads: the
+    caller and helpers that it starts and joins within the pass (see
+    :func:`_split`). The bands of a pass write disjoint rows, and numpy
     releases the GIL in their kernels. Pass 1 checks each band and keeps
     only its argmax and confidence planes; once a band fails and every
     thread has stopped, :func:`validate_probmap` checks the whole stack,

@@ -133,11 +133,12 @@ class TestBlend:
         want = w64 * p_oh.astype(np.float64) + (1.0 - w64) * votes.astype(np.float64)
         assert blend(p_oh, votes, weights).tobytes() == want.astype(np.float32).tobytes()
 
-    @pytest.mark.parametrize("weight", [1.5, -0.25, np.nan, np.inf])
+    # float32 weights, named as they print: 1.1, not the 1.100000023841858 of its float64 widening
+    @pytest.mark.parametrize("weight", ["1.5", "-0.25", "nan", "inf", "1.1"])
     def test_weights_outside_the_unit_interval_rejected(self, weight):
         p_oh = one_hot(np.array([[0, 1]], dtype=np.uint16), 2)
         weights = np.array([[0.5, weight]], dtype=np.float32)
-        message = f"weight {weights[0, 1]} at pixel (0, 1) is not in [0, 1]"
+        message = f"weight {weight} at pixel (0, 1) is not in [0, 1]"
         with pytest.raises(ValidationError, match=re.escape(message)):
             blend(p_oh, vote_uniform(p_oh), weights)
 
@@ -562,7 +563,7 @@ class TestBands:
         scale = (10.0 ** rng.uniform(-30, 10, size=(9, 3))).astype(np.float32)
         def wide_votes(p_oh, v):
             return np.where(p_oh == 1, scale, scale / np.float32(3))
-        def late_on_the_caller(p_oh, v, rows):  # so a worker's later bands have their votes first
+        def late_on_the_caller(p_oh, v, rows):  # so a helper's later bands have their votes first
             if threading.current_thread() is threading.main_thread():
                 time.sleep(0.01)
             return wide_votes(p_oh[rows], v)
@@ -580,11 +581,11 @@ def _fork_child_boost(pred, conn):
 
 
 class TestThreads:
-    """The calling thread and private workers split each pass: failures, forks, other callers."""
+    """The calling thread and the helpers it starts split each pass: failures, lifetimes, forks, other callers."""
 
     def test_a_fault_in_a_workers_band_names_the_whole_map(self, monkeypatch):
         stack = _stack(np.random.default_rng(80), 9, 4, 3)
-        stack[1, 3, 2] = [0.5, 0.5, 0.5]  # in band 1 of 3-row bands: the worker's
+        stack[1, 3, 2] = [0.5, 0.5, 0.5]  # in band 1 of 3-row bands: the helper's
         monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 3)
         monkeypatch.setattr(segboost.booster, "_THREADS", 2)
         failed_on = []
@@ -610,32 +611,61 @@ class TestThreads:
         votes = segboost.booster._band_votes
         def fail_off_the_caller(*args):
             if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("band failed on a worker")
+                raise RuntimeError("band failed on a helper")
             return votes(*args)
         monkeypatch.setattr(segboost.booster, "_band_votes", fail_off_the_caller)
         for run in (boost, boost_report):  # with and without the band-ordered step
-            with pytest.raises(RuntimeError, match="on a worker"):
+            with pytest.raises(RuntimeError, match="on a helper"):
                 run(pred, VicinitySpec(3, 3), "ruv")
         monkeypatch.setattr(segboost.booster, "_band_votes", votes)
-        assert boost(pred, VicinitySpec(3, 3), "ruv").data.tobytes() == want  # the workers still serve
+        assert boost(pred, VicinitySpec(3, 3), "ruv").data.tobytes() == want  # the next call starts new helpers
 
-    def test_one_band_never_starts_or_uses_a_worker(self, monkeypatch):
-        class NoJobs:
-            def put(self, job):
-                pytest.fail("a worker got a job")
-        def no_worker():
-            pytest.fail("a worker started")
-        monkeypatch.setattr(segboost.booster, "_workers", [NoJobs()])
-        monkeypatch.setattr(segboost.booster, "_start_worker", no_worker)
+    def test_one_band_starts_no_thread(self, monkeypatch):
+        started = []
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+        monkeypatch.setattr(segboost.booster.threading, "Thread", Recorded)
         monkeypatch.setattr(segboost.booster, "_THREADS", 3)
         pred = _random_probmap(np.random.default_rng(82), 32, 6, 3)  # one 32-row band
         boost_report(pred, VicinitySpec(3, 3), "ruv")
         _run(np.ascontiguousarray(np.moveaxis(pred[None], -1, 0)), VicinitySpec(3, 3), "ruv", report=False, axis=0)
-        with pytest.raises(pytest.fail.Exception, match="a worker started"):  # 3 bands: a second worker
-            boost(np.concatenate([pred, pred, pred]), VicinitySpec(3, 3), "ruv")
+        assert started == []
+        boost(np.concatenate([pred, pred, pred]), VicinitySpec(3, 3), "ruv")  # 3 bands: two helpers a pass
+        assert len(started) == 4
         monkeypatch.setattr(segboost.booster, "_THREADS", 2)
-        with pytest.raises(pytest.fail.Exception, match="a worker got a job"):
-            boost(np.concatenate([pred, pred]), VicinitySpec(3, 3), "ruv")
+        boost(np.concatenate([pred, pred]), VicinitySpec(3, 3), "ruv")
+        assert len(started) == 6
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("fault", [None, "caller", "helper"])
+    def test_no_thread_outlives_a_call(self, monkeypatch, threads, fault):
+        pred = _random_probmap(np.random.default_rng(85), 12, 5, 3)
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 3)  # four bands
+        monkeypatch.setattr(segboost.booster, "_THREADS", threads)
+        ran_on = set()
+        argmax = segboost.booster._argmax
+        def recorded(*args):  # every band of pass 1 runs, so every helper runs one
+            ran_on.add(threading.current_thread())
+            return argmax(*args)
+        votes = segboost.booster._band_votes
+        def faulty(*args):  # in pass 2, on the caller's bands or on the helpers'
+            if fault and (threading.current_thread() is threading.main_thread()) == (fault == "caller"):
+                raise RuntimeError(f"band failed on the {fault}")
+            return votes(*args)
+        monkeypatch.setattr(segboost.booster, "_argmax", recorded)
+        monkeypatch.setattr(segboost.booster, "_band_votes", faulty)
+        before = threading.enumerate()
+        for run in (boost, boost_report):
+            if fault:
+                with pytest.raises(RuntimeError, match=f"on the {fault}"):
+                    run(pred, VicinitySpec(3, 3), "ruv")
+            else:
+                run(pred, VicinitySpec(3, 3), "ruv")
+            assert threading.enumerate() == before
+            helpers = ran_on - {threading.main_thread()}
+            assert len(helpers) >= threads - 1 and not any(t.is_alive() for t in helpers)
 
     def test_concurrent_callers_get_their_own_bytes(self, monkeypatch):
         # more threads than cores, switching often: a band run twice, skipped or added out of turn changes bytes
@@ -669,8 +699,7 @@ class TestThreads:
     def test_a_forked_child_can_still_boost(self, monkeypatch):
         monkeypatch.setattr(segboost.booster, "_THREADS", 2)
         pred = _random_probmap(np.random.default_rng(84), 100, 8, 4)  # four 32-row bands
-        want = boost(pred, VicinitySpec(5, 5), "ruv").data.tobytes()  # the parent's workers are running
-        assert segboost.booster._workers
+        want = boost(pred, VicinitySpec(5, 5), "ruv").data.tobytes()
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_fork_child_boost, args=(pred, send))

@@ -228,14 +228,17 @@ class TestBoostCommand:
         monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 5)
         monkeypatch.setattr(segboost.booster, "_THREADS", threads)
         cover = count_stages(monkeypatch)
-        ran_on = set()
+        ran_on = []
         argmax = segboost.booster._argmax
         def recorded(*args):
-            ran_on.add(threading.current_thread())
+            ran_on.append(threading.current_thread())
             return argmax(*args)
         monkeypatch.setattr(segboost.booster, "_argmax", recorded)
         assert run_cli("boost", str(path), "--out", str(tmp_path / "b.ten1"), "--vicinity", "3")[0] == 0
-        assert len(ran_on) == threads  # 3 bands: one thread each, or the caller takes bands 0 and 2
+        # pass 1 ends before pass 2 starts, and each starts its own helpers
+        assert len(ran_on) == 6
+        for one_pass in (ran_on[:3], ran_on[3:]):  # 3 bands: one thread each, or the caller takes bands 0 and 2
+            assert len(set(one_pass)) == threads
         # the same bands as on one thread, each once, in whatever order the threads ran them
         for stage, maps in (("validate", 1), ("confidence", 1), ("argmax", 2)):
             assert [sorted(rows) for rows in covered_rows(cover[stage])] == [every_row] * maps, stage

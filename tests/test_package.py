@@ -32,8 +32,8 @@ def test_all_is_pinned_and_resolves():
 
 
 def test_import_starts_no_thread_and_loads_no_executor():
-    # the boost workers start on the first pass with more than one band; importing costs neither them
-    # nor concurrent.futures (a few ms of import time)
+    # boost starts its helper threads within each pass of more than one band and joins them before the
+    # pass ends; importing starts no thread and loads no concurrent.futures (a few ms of import time)
     probe = ("import sys, threading; import segboost; "
              "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
