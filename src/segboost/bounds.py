@@ -39,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensors import ValidationError
+from .tensors import ValidationError, _is_int
 
 KL_MODES = ("paper", "standard")
 LOSSES = ("zero_one", "l2")
@@ -81,7 +81,11 @@ class GaussianPosterior:
                     f"booster shape {booster.shape} must match weights {weights.shape}"
                 )
             weights = weights + booster
-        return cls(weights @ np.asarray(inputs, dtype=np.float64))
+        try:
+            mean = weights @ np.asarray(inputs, dtype=np.float64)
+        except ValueError:  # numpy's matmul shape error
+            raise ValidationError(f"weights {weights.shape} cannot multiply inputs {np.shape(inputs)}") from None
+        return cls(mean)
 
 
 def kl_gaussian_product(q: GaussianPosterior, p: GaussianPosterior, mode: str = "paper") -> float:
@@ -99,18 +103,23 @@ def kl_gaussian_product(q: GaussianPosterior, p: GaussianPosterior, mode: str = 
     return q.dim * sq if mode == "paper" else 0.5 * sq
 
 
+def _check_bound_inputs(kl: float, n: int, delta: float) -> None:
+    """The checks both root bounds make: a finite KL >= 0, an integer sample count >= 1 and delta in (0, 1)."""
+    if not (kl >= 0 and math.isfinite(kl)):
+        raise ValidationError(f"kl must be finite and >= 0, got {kl}")
+    if not (_is_int(n) and n >= 1):
+        raise ValidationError(f"sample count must be an integer >= 1, got {n!r}")
+    if not 0.0 < delta < 1.0:
+        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+
+
 def gap_bound(kl: float, n: int, delta: float) -> float:
     """High-probability bound on expected minus empirical risk.
 
     ``sqrt((kl + ln(2 sqrt(n) / delta)) / (2 n))``, valid with probability
     at least ``1 - delta`` over an ``n``-sample.
     """
-    if kl < 0 or not math.isfinite(kl):
-        raise ValidationError(f"kl must be finite and >= 0, got {kl}")
-    if n < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n}")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+    _check_bound_inputs(kl, n, delta)
     return math.sqrt((kl + math.log(2.0 * math.sqrt(n) / delta)) / (2.0 * n))
 
 
@@ -135,10 +144,7 @@ def _risk_bound(empirical_risk: float, kl: float, n: int, delta: float) -> float
     """The two-root risk bound for a given KL value; see the module docstring."""
     if not 0.0 <= empirical_risk <= 1.0:
         raise ValidationError(f"empirical risk must lie in [0, 1], got {empirical_risk}")
-    if n < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n}")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+    _check_bound_inputs(kl, n, delta)
     return (
         empirical_risk
         + math.sqrt(kl / (2.0 * n))
@@ -196,8 +202,12 @@ def discrepancy_risk_bound(labeled_risk: float, discrepancy: float, mu_star: flo
     unobservable without labels and is supplied by the caller (default 0,
     the assume-it-is-trivial convention).
     """
-    if discrepancy < 0:
+    if not 0.0 <= labeled_risk <= 1.0:  # also rejects NaN, as the checks below do
+        raise ValidationError(f"labeled risk must lie in [0, 1], got {labeled_risk}")
+    if not discrepancy >= 0:
         raise ValidationError(f"discrepancy must be >= 0, got {discrepancy}")
+    if math.isnan(mu_star):
+        raise ValidationError("mu_star must not be NaN")
     return labeled_risk + 0.5 * discrepancy + mu_star
 
 

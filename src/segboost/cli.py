@@ -35,7 +35,7 @@ from .confidence import _image_weights, _neg_entropy
 from .metrics import ConfusionMatrix
 from .pgm import labels_to_gray, write_pgm
 from .simulate import SimConfig, TrainingDiverged, ablate, rows_to_csv
-from .tensors import (IGNORE_LABEL, TensorFormatError, ValidationError, _check_classes, _read_ten1_file, _ten1_parts,
+from .tensors import (IGNORE_LABEL, TensorFormatError, ValidationError, _check_classes, _read_ten1, _write_ten1,
                       argmax_labels, one_hot, validate_probmap)
 from .voting import BORDER_MODES, VicinitySpec, vote_integral
 
@@ -81,7 +81,8 @@ _LABELS = ("2-D u16 label map", 2, np.uint16)
 
 def _read_file(path: str, *kinds) -> np.ndarray:
     """The tensor in a TEN1 file, which must be one of ``kinds``."""
-    arr = _read_ten1_file(path)
+    with open(path, "rb", buffering=0) as f:
+        arr = _read_ten1(f)
     if not any(arr.ndim == ndim and arr.dtype == dtype for _, ndim, dtype in kinds):
         wanted = " or ".join(name for name, _, _ in kinds)
         raise ValidationError(f"{path}: expected a {wanted}, got {arr.dtype} with shape {arr.shape}")
@@ -89,11 +90,9 @@ def _read_file(path: str, *kinds) -> np.ndarray:
 
 
 def _write_file(path: str, arr: np.ndarray) -> None:
-    """Write an array as a TEN1 file: its header, then its buffer, with no copy of the file in memory."""
-    header, payload = _ten1_parts(arr)
+    """Write an array as a TEN1 file, with no copy of the file in memory."""
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload.data)
+        _write_ten1(f, arr)
 
 
 def _emit(text: str, out: str | None) -> None:

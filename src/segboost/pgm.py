@@ -94,7 +94,7 @@ def read_pgm(data: bytes) -> np.ndarray:
     if len(parts) != 4:
         raise ValidationError("malformed PGM header")
     dims = parts[1].split()
-    if len(dims) != 2 or parts[2] != b"255":
+    if len(dims) != 2 or not all(d.isdigit() for d in dims) or parts[2] != b"255":  # ASCII digits only
         raise ValidationError("malformed PGM header (expected '<w> <h>' then '255')")
     w, h = int(dims[0]), int(dims[1])
     payload = parts[3]

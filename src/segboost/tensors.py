@@ -10,13 +10,13 @@ Conventions used throughout the package:
   (0 for void pixels).
 
 Everything here is a pure function over immutable inputs (the private
-file reader only reads its file); nothing keeps state, so all of it is
-safe to call from multiple threads.
+TEN1 reader and writer only read or write the stream they are given);
+nothing keeps state, so all of it is safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
-import os
+import io
 import struct
 from numbers import Integral
 
@@ -222,16 +222,17 @@ def validate_probmap(pred: np.ndarray) -> np.ndarray:
     return pred
 
 
-def _ten1_parts(arr: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The TEN1 header of an array, and the array as the C-ordered little-endian payload that follows it."""
-    arr = np.ascontiguousarray(arr)
+def _write_ten1(stream, arr: np.ndarray) -> None:
+    """Write an array to a binary stream as TEN1: its header, then its C-ordered little-endian buffer."""
+    arr = np.asarray(arr)
     kind = arr.dtype.newbyteorder("<").str.lstrip("<|=")
     if kind not in _CODE_FOR_KIND:
         raise ValidationError(f"unsupported dtype {arr.dtype}; use float32, uint16, or uint8")
     if arr.ndim > 255:
         raise ValidationError("tensor rank exceeds 255")
-    header = struct.pack(f"<4sBB{arr.ndim}Q", _MAGIC, _CODE_FOR_KIND[kind], arr.ndim, *arr.shape)
-    return header, arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+    arr = np.asarray(arr, dtype=arr.dtype.newbyteorder("<"), order="C")  # keeps a 0-d array 0-d
+    stream.write(struct.pack(f"<4sBB{arr.ndim}Q", _MAGIC, _CODE_FOR_KIND[kind], arr.ndim, *arr.shape))
+    stream.write(arr.data)
 
 
 def write_tensor(arr: np.ndarray) -> bytes:
@@ -240,8 +241,9 @@ def write_tensor(arr: np.ndarray) -> bytes:
     Layout: ``b"TEN1"``, 1 dtype byte (0=f32, 1=u16, 2=u8), 1 ndim byte,
     ndim little-endian u64 dims, then the row-major little-endian payload.
     """
-    header, payload = _ten1_parts(arr)
-    return header + payload.tobytes()
+    out = io.BytesIO()
+    _write_ten1(out, arr)
+    return out.getvalue()
 
 
 def _ten1_layout(head: bytes, size: int) -> tuple[np.dtype, tuple, int, int]:
@@ -278,32 +280,26 @@ def _ten1_layout(head: bytes, size: int) -> tuple[np.dtype, tuple, int, int]:
     return dtype, dims, count, dims_end
 
 
-def _shaped(flat: np.ndarray, dims: tuple) -> np.ndarray:
-    """The flat payload of a TEN1 tensor given its dims."""
-    try:  # an empty tensor can still name dims numpy cannot hold
-        return flat.reshape(dims)
+def _read_ten1(stream) -> np.ndarray:
+    """The tensor in a seekable binary stream of TEN1 bytes, with the payload read straight into a fresh array."""
+    size = stream.seek(0, io.SEEK_END)
+    stream.seek(0)
+    dtype, dims, count, start = _ten1_layout(stream.read(min(size, _TEN1_HEADER_MAX)), size)
+    try:  # an empty tensor can still name dims numpy cannot hold; its reshape names the fault
+        arr = np.empty(dims, dtype=dtype) if count else np.empty(0, dtype=dtype).reshape(dims).copy()
     except ValueError as exc:
         raise TensorFormatError(f"dims {dims} not representable: {exc}", 6) from None
+    payload = arr.reshape(-1).view(np.uint8)
+    stream.seek(start)
+    done = 0
+    while done < payload.size:
+        got = stream.readinto(payload[done:])
+        if not got:  # the file shrank after its size was read
+            raise TensorFormatError("truncated payload", start + done)
+        done += got
+    return arr
 
 
 def read_tensor(data: bytes) -> np.ndarray:
     """Parse TEN1 bytes back into an array; the exact inverse of write_tensor."""
-    dtype, dims, count, start = _ten1_layout(data, len(data))
-    return _shaped(np.frombuffer(data, dtype=dtype, count=count, offset=start), dims).copy()
-
-
-def _read_ten1_file(path) -> np.ndarray:
-    """:func:`read_tensor` of a file's bytes, with the payload read straight into the array it returns."""
-    with open(path, "rb", buffering=0) as f:
-        size = os.fstat(f.fileno()).st_size
-        dtype, dims, count, start = _ten1_layout(f.read(min(size, _TEN1_HEADER_MAX)), size)
-        flat = np.empty(count, dtype=dtype)
-        payload = memoryview(flat).cast("B")
-        f.seek(start)
-        done = 0
-        while done < len(payload):
-            got = f.readinto(payload[done:])
-            if not got:  # the file shrank after its size was read
-                raise TensorFormatError("truncated payload", start + done)
-            done += got
-    return _shaped(flat, dims)
+    return _read_ten1(io.BytesIO(data))

@@ -17,9 +17,10 @@ reference path (:func:`vote_naive`) and the summed-area-table path
 (:func:`vote_integral`) produce bit-identical float32 output, and results
 do not depend on how the work is partitioned across threads: the booster
 counts the votes of its row bands on two threads at once, each band's
-rows from a table over the band and its halo. The reference
-path counts each window and measures its in-bounds area in its own loop;
-it shares only that final division with the path it checks.
+rows from a table over the band and its halo. Every table, at every map
+size and in the simulator's box-mean features too, is one build. The
+reference path counts each window and measures its in-bounds area in its
+own loop; it shares only that final division with the path it checks.
 
 Void pixels (all-zero one-hot rows) contribute nothing to numerators;
 denominators are not reduced for them.
@@ -85,10 +86,6 @@ def _check_one_hot(p_oh: np.ndarray) -> np.ndarray:
     return p_oh
 
 
-# Rows of at least this many elements build the table's row sums one whole row at a time.
-_ROW_ADD_MIN = 1024
-
-
 def _window_sums(values: np.ndarray, r_rows: int, r_cols: int, dtype, rows: slice = slice(None)):
     """Sums of ``(H, W, ...)`` values over centered windows clipped to the image, for ``rows`` of it.
 
@@ -103,27 +100,19 @@ def _window_sums(values: np.ndarray, r_rows: int, r_cols: int, dtype, rows: slic
     ``((bottom_hi - top_hi) - bottom_lo) + top_lo``, the same order as the
     clipped-index formula, so float tables keep their bits.
 
-    ``np.cumsum`` along the row axis walks the table with a stride of a
-    whole row, which is slow on long rows. A row of ``_ROW_ADD_MIN``
-    elements or more (``W`` times the trailing axes) therefore takes the
-    row sums as a copy and a running ``np.add`` of each row onto the one
-    above it: the same additions in the same order, so the same bits.
-    Shorter rows keep ``np.cumsum``. The loop pays a call per row, so the
-    two break even at a few hundred elements a row; the threshold keeps
-    the simulator's stacks (768-element rows at its defaults) and feature
-    planes on ``np.cumsum``.
+    The row sums are a copy and a running ``np.add`` of each whole row onto
+    the one above it: the same additions in the same order as ``np.cumsum``
+    down the rows, so the same bits, without its walk down the table at a
+    stride of a whole row. The column sums are ``np.cumsum``.
     """
     h, w = values.shape[:2]
     # A radius past the image edge clips to the same corners as one at the edge.
     rr, rc = min(r_rows, h), min(r_cols, w)
     sat = np.zeros((h + 2 * rr + 1, w + 2 * rc + 1) + values.shape[2:], dtype=dtype)
     body = sat[rr + 1:rr + 1 + h, rc + 1:rc + 1 + w]
-    if values[:1].size >= _ROW_ADD_MIN:
-        body[...] = values
-        for i in range(1, h):
-            np.add(body[i - 1], body[i], out=body[i])
-    else:
-        np.cumsum(values, axis=0, dtype=dtype, out=body)
+    body[...] = values
+    for i in range(1, h):
+        np.add(body[i - 1], body[i], out=body[i])
     np.cumsum(body, axis=1, out=body)
     sat[:, rc + 1 + w:] = sat[:, rc + w:rc + w + 1]
     sat[rr + 1 + h:] = sat[rr + h:rr + h + 1]

@@ -57,6 +57,10 @@ class TestGaussianPosterior:
         with pytest.raises(ValidationError):
             GaussianPosterior.from_weights(w, x, np.zeros((2, 2)))
 
+    def test_from_weights_shape_mismatch_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match=r"weights \(2, 3\) cannot multiply inputs \(4,\)"):
+            GaussianPosterior.from_weights(np.ones((2, 3)), np.ones(4))
+
 
 class TestKlModes:
     def test_standard_matches_quadrature(self):
@@ -120,6 +124,16 @@ class TestGapBound:
             gap_bound(1.0, 10, 1.0)
         with pytest.raises(ValidationError):
             gap_bound(math.inf, 10, 0.5)
+
+    @pytest.mark.parametrize("n", [10.5, True, 10.0], ids=["fraction", "bool", "float"])
+    def test_sample_count_must_be_an_integer(self, n):
+        with pytest.raises(ValidationError, match="sample count must be an integer"):
+            gap_bound(0.0, n, 0.05)
+        with pytest.raises(ValidationError, match="sample count must be an integer"):
+            risk_upper_bound(0.1, GaussianPosterior([0.0]), GaussianPosterior([1.0]), n, 0.05)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        assert gap_bound(0.0, np.int64(100), 0.05) == gap_bound(0.0, 100, 0.05)
 
 
 class TestRiskUpperBound:
@@ -214,3 +228,14 @@ class TestDiscrepancyRiskBound:
     def test_negative_discrepancy_rejected(self):
         with pytest.raises(ValidationError):
             discrepancy_risk_bound(0.1, -0.2)
+
+    @pytest.mark.parametrize("risk", [-1.0, 1.5, math.nan])
+    def test_labeled_risk_outside_the_unit_interval_rejected(self, risk):
+        with pytest.raises(ValidationError, match="labeled risk must lie in"):
+            discrepancy_risk_bound(risk, 0.1)
+
+    def test_nan_discrepancy_and_mu_star_rejected(self):
+        with pytest.raises(ValidationError, match="discrepancy"):
+            discrepancy_risk_bound(0.1, math.nan)
+        with pytest.raises(ValidationError, match="mu_star"):
+            discrepancy_risk_bound(0.1, 0.1, math.nan)

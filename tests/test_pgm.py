@@ -151,6 +151,12 @@ class TestPgmBytes:
         with pytest.raises(ValidationError):
             read_pgm(b"P5\n2 2\n255\n" + bytes(3))
 
+    @pytest.mark.parametrize("blob", [b"P5\nab 2\n255\n", b"P5\n-2 -2\n255\n" + bytes(4),
+                                      b"P5\n+2 2\n255\n" + bytes(4)], ids=["letters", "negative", "plus-sign"])
+    def test_size_line_must_be_decimal_digits(self, blob):
+        with pytest.raises(ValidationError, match="malformed PGM header"):
+            read_pgm(blob)
+
     def test_full_pipeline(self):
         rng = np.random.default_rng(10)
         labels = rng.integers(0, 5, size=(6, 6)).astype(np.uint16)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from segboost import (
     IGNORE_LABEL,
@@ -23,7 +24,8 @@ from segboost import (
     validate_probmap,
     write_tensor,
 )
-from segboost.tensors import _read_ten1_file
+from segboost.cli import _write_file
+from segboost.tensors import _read_ten1
 
 
 class TestOneHot:
@@ -237,6 +239,60 @@ class TestTen1Format:
         back[0] = 9  # must not raise: buffer is writable, not a frozen view
         assert back[0] == 9
 
+    def test_rank_zero_round_trip(self):
+        arr = np.array(1.5, dtype=np.float32)
+        blob = write_tensor(arr)
+        assert blob == b"TEN1\x00\x00" + arr.tobytes()  # no dims, one element
+        back = read_tensor(blob)
+        assert back.shape == () and back.dtype == np.float32 and back[()] == 1.5
+        assert write_tensor(back) == blob
+
+
+_CODES = {"f4": 0, "u2": 1, "u1": 2}
+
+
+def _ten1_oracle(arr: np.ndarray) -> bytes:
+    """TEN1 bytes of ``arr`` by the format's definition: a struct-packed header, then the C-order little-endian data."""
+    little = arr.astype(arr.dtype.newbyteorder("<"))
+    header = struct.pack(f"<4sBB{arr.ndim}Q", b"TEN1", _CODES[little.dtype.str[1:]], arr.ndim, *arr.shape)
+    return header + little.tobytes()
+
+
+@st.composite
+def _ten1_arrays(draw):
+    """Arrays of rank 0-4 in each TEN1 dtype and either byte order, whole or as a non-contiguous view."""
+    dtype = np.dtype(draw(st.sampled_from(["<", ">"])) + draw(st.sampled_from(list(_CODES))))
+    shape = tuple(draw(st.lists(st.integers(0, 4), max_size=4)))
+    arr = draw(arrays(dtype, shape))  # floats include NaN and signed zeros
+    view = draw(st.sampled_from(["whole", "every other row", "transpose"]))
+    if view == "every other row" and arr.ndim:
+        return arr[::2]
+    return arr.T if view == "transpose" else arr
+
+
+class TestTen1Codec:
+    """``write_tensor`` and the CLI's file writer give the format's bytes for any array, and read back to it."""
+
+    @given(arr=_ten1_arrays())
+    def test_bytes_match_the_format_and_read_back(self, arr):
+        want = _ten1_oracle(arr)
+        blob = write_tensor(arr)
+        assert blob == want
+        back = read_tensor(blob)
+        assert back.shape == arr.shape and back.dtype == arr.dtype.newbyteorder("<")
+        assert back.tobytes() == want[6 + 8 * arr.ndim:]
+        assert back.flags.owndata and back.flags.writeable
+
+    @given(arr=_ten1_arrays())
+    def test_cli_file_matches_the_format_and_reads_back(self, arr):
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "t.ten1"
+            _write_file(str(path), arr)
+            assert path.read_bytes() == _ten1_oracle(arr)
+            with open(path, "rb", buffering=0) as f:
+                back = _read_ten1(f)
+        assert back.shape == arr.shape and back.tobytes() == arr.astype(back.dtype).tobytes()
+
 
 def _read_or_format_error(blob: bytes) -> None:
     """read_tensor must return an array or raise TensorFormatError, nothing else."""
@@ -272,16 +328,17 @@ class TestTen1Properties:
 
 
 def _read_file_and_bytes(blob: bytes):
-    """What the CLI's file reader and :func:`read_tensor` make of ``blob``: an array or a format error, each."""
+    """What the TEN1 reader makes of ``blob`` in a file and ``read_tensor`` of it: an array or a format error, each."""
     results = []
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "t.ten1"
         path.write_bytes(blob)
-        for read in (lambda: _read_ten1_file(path), lambda: read_tensor(blob)):
-            try:
-                results.append(read())
-            except TensorFormatError as exc:
-                results.append(exc)
+        with open(path, "rb", buffering=0) as f:
+            for read in (lambda: _read_ten1(f), lambda: read_tensor(blob)):
+                try:
+                    results.append(read())
+                except TensorFormatError as exc:
+                    results.append(exc)
     return results
 
 
@@ -313,5 +370,6 @@ class TestTen1File:
         arr = np.random.default_rng(12).random((64, 48, 5)).astype(np.float32)
         path = tmp_path / "t.ten1"
         path.write_bytes(write_tensor(arr))
-        back = _read_ten1_file(path)
+        with open(path, "rb", buffering=0) as f:
+            back = _read_ten1(f)
         assert back.tobytes() == arr.tobytes() and back.flags.writeable

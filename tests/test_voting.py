@@ -336,7 +336,3 @@ class TestWindowSumTable:
         band_sums, band_area = _window_sums(values, rr, rc, np.int32, rows)
         assert band_sums.tobytes() == sums[rows].tobytes()
         assert band_area.tobytes() == area[rows].tobytes()
-
-    def test_threshold_splits_the_two_builds(self):
-        # the simulator's (32, 32, 24) channel stacks keep np.cumsum; a 256x512x19 band's rows add whole rows
-        assert 32 * 24 < segboost.voting._ROW_ADD_MIN <= 512 * 19
