@@ -30,9 +30,12 @@ starts a helper thread, splits its bands with it, two bands in flight
 while numpy's kernels release the GIL, and joins it before the pass
 ends, so no thread outlives a call: at 1024x2048x19 the traced peak is
 about 1.4x the input, and a call takes about half its one-thread time.
-A stack of one band, as the simulator's are, starts no thread. Every
-image of a stack gets the bytes a call of its own would give, in either
-layout, at any band height and on any number of threads.
+The threads of a pass never wait on each other. A stack of one band, as
+the simulator's are, starts no thread. Every image of a stack gets the
+bytes a call of its own would give, in either layout, at any band height
+and on any number of threads. :func:`boost_report` counts its
+``class_vote_mass`` only when it is first read, with one more vote pass
+over the bands of the input's argmax on the reading thread.
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +83,33 @@ class BoostReport:
     changed_fraction: float  # pixels whose argmax moved
     mean_weight: float
     mean_confidence: float
-    class_vote_mass: np.ndarray  # (K,) mean vote per class
     boosted: BoostedLabel  # the label these numbers describe
     labels: np.ndarray  # (H, W) uint16 argmax of the boosted label
+    _before: np.ndarray = field(repr=False)  # (H, W) uint16 argmax of the input
+
+    @cached_property
+    def class_vote_mass(self) -> np.ndarray:
+        """(K,) float64 mean vote per class, counted when first read: one more vote pass, on this thread.
+
+        The bands of the input's argmax add their votes to a running sum in
+        band order, each band's one float64 buffer reduced with that sum as
+        its leading row, so one reduction adds them pixel by pixel in the
+        order of ``votes.mean(axis=(0, 1), dtype=np.float64)`` for two
+        classes or more. (For one class numpy sums pairwise, which gives the
+        same bits wherever the float64 sum is exact, as it is for every
+        window that fits a map of fewer than 2**28 pixels.) No byte depends
+        on the band height.
+        """
+        (h, w), k = self._before.shape, self.boosted.classes
+        mass = np.zeros(k)
+        for r0 in range(0, h, _BAND_ROWS):
+            rows = slice(r0, min(r0 + _BAND_ROWS, h))
+            votes = _votes(self._before, rows, k, -1, self.boosted.vicinity, self.boosted.policy)[1]
+            tally = np.empty((1 + (rows.stop - rows.start) * w, k))
+            tally[0] = mass
+            tally[1:].reshape(rows.stop - rows.start, w, k)[...] = votes
+            mass = np.add.reduce(tally, axis=0)
+        return mass / (h * w)
 
 
 def blend(p_oh: np.ndarray, votes: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -136,62 +164,30 @@ _BAND_ROWS = 32
 _THREADS = min(2, os.cpu_count() or 1)
 
 
-class _Stopped(Exception):
-    """Ends a thread's share of a pass once a band on another thread has raised."""
-
-
-class _Turns:
-    """One step of a pass that the bands take in band order, whichever thread runs them."""
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._next = 0
-        self.stopped = False
-
-    def take(self, i: int) -> None:
-        """Wait until every band before band ``i`` has given its turn up; raise ``_Stopped`` on a stop."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._next == i or self.stopped)
-            if self.stopped:
-                raise _Stopped
-
-    def give(self, i: int) -> None:
-        with self._cond:
-            self._next = i + 1
-            self._cond.notify_all()
-
-    def stop(self) -> None:
-        with self._cond:
-            self.stopped = True
-            self._cond.notify_all()
-
-
 def _split(count: int, band) -> None:
-    """Run ``band(i, turns)`` for each ``i`` in ``range(count)``, thread ``t`` of T taking bands t, t + T, ...
+    """Run ``band(i)`` for each ``i`` in ``range(count)``, thread ``t`` of T taking bands t, t + T, ...
 
     T is ``min(_THREADS, count)``, and at least 1: thread 0 is the caller,
     which starts the other T - 1 for this call and joins them before it
     returns or raises what a band raised, so no thread outlives the call.
-    ``turns`` is a :class:`_Turns` for the one step that must go in band
-    order. Once a band raises, every other thread stops before its next
-    band or turn; when all have stopped, the caller raises the exception
-    of the lowest band that raised.
+    The threads never wait on each other within the call. Once a band
+    raises, every other thread stops before its next band; when all have
+    stopped, the caller raises the exception of the lowest band that raised.
     """
-    turns = _Turns()
     threads = max(min(_THREADS, count), 1)
     raised = {}
+    stopped = False
 
     def share(t: int) -> None:
+        nonlocal stopped
         try:
             for i in range(t, count, threads):
-                if turns.stopped:
+                if stopped:
                     break
-                band(i, turns)
-        except _Stopped:
-            pass
+                band(i)
         except BaseException as exc:  # raised again on the caller
             raised[i] = exc
-            turns.stop()
+            stopped = True
 
     helpers = [threading.Thread(target=share, args=(t,), name="segboost-bands") for t in range(1, threads)]
     try:
@@ -201,9 +197,34 @@ def _split(count: int, band) -> None:
         for helper in helpers:
             helper.join()
     finally:
-        turns.stop()  # after an interrupt, a helper still in its share ends it at its next band
+        stopped = True  # after an interrupt, a helper still in its share ends it at its next band
     if raised:
         raise raised[min(raised)]
+
+
+def _votes(labels: np.ndarray, rows: slice, k: int, axis: int, vicinity: VicinitySpec, policy: str):
+    """``(hot, votes)`` for the image ``rows`` of a label stack, in the maps' layout with the class ``axis``.
+
+    ``hot`` is the bool one-hot of those rows; ``votes`` are what ``policy``
+    blends with it there: for ``ruv`` the window votes counted over the
+    one-hot of the rows and a halo of the window's row radius, for
+    ``uniform`` the scalar 1/K, for ``none`` the one-hot itself.
+    """
+    h, w = labels.shape[-2:]
+    pixel = (-3, -2) if axis == -1 else (-2, -1)  # the row and column axes of the maps
+    cols = (slice(None),) * -pixel[1]  # the index of the axes after the rows
+    reach = vicinity.height // 2 if policy == "ruv" else 0
+    lo, hi = max(rows.start - reach, 0), min(rows.stop + reach, h)
+    block = _one_hot(labels[..., lo:hi, :], k, axis)
+    own = slice(rows.start - lo, rows.stop - lo)
+    hot = block[(..., own) + cols]
+    if policy == "ruv":  # the pixel axes first, one channel per image and class
+        grid = np.moveaxis(block.view(np.uint8), pixel, (0, 1))
+        votes = _band_votes(grid.reshape(hi - lo, w, math.prod(grid.shape[2:])), vicinity, own)
+        return hot, np.moveaxis(votes.reshape((rows.stop - rows.start, w) + grid.shape[2:]), (0, 1), pixel)
+    if policy == "uniform":
+        return hot, np.float32(1.0 / k)  # the value of vote_uniform
+    return hot, hot
 
 
 def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -1):
@@ -211,13 +232,11 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
 
     The stack is ``(N, H, W, K)`` with ``axis=-1``, or class-major with its
     pixel axes last, as the simulator's ``(2, K, batch, H, W)`` with
-    ``axis=1``. Returns ``(labels, boosted, confidence, weights, vote_mass,
+    ``axis=1``. Returns ``(labels, boosted, confidence, weights,
     boosted_labels)`` in its layout: ``boosted`` has the stack's shape and
     the planes drop the class axis. Confidence and weights are ``None``
-    under ``none`` unless ``report`` asks for them; ``vote_mass``, the
-    ``(images, K)`` mean vote per class of each image in stack order, and
-    ``boosted_labels``, the argmax of the boosted maps, come with
-    ``report``.
+    under ``none`` unless ``report`` asks for them; ``boosted_labels``, the
+    argmax of the boosted maps, come with ``report``.
 
     Bands slice the row axis of all images at once, ``_BAND_ROWS`` rows
     each, and each pass runs its bands on up to ``_THREADS`` threads: the
@@ -229,33 +248,24 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
     class-last, so the message names the stack's first fault. The min-max
     weights are then taken per image. Pass 2 builds each band's one-hot
     over the band and a halo of the window's row radius, counts votes for
-    the band's rows, blends them into the preallocated float32 output and
-    takes the boosted argmax. With ``report`` the band's votes are copied
-    class-last into a float64 buffer whose leading row carries each image's
-    running vote mass; the bands take turns, in band order, to add their
-    buffer to the running mass before the blend scales the copy, so one
-    reduction adds them pixel by pixel in the order of
-    ``votes.mean(axis=(0, 1), dtype=np.float64)`` for two classes or more.
-    (For one class numpy sums pairwise, which gives the same bits wherever
-    the float64 sum is exact, as it is for every window that fits a map of
-    fewer than 2**28 pixels.) Window counts are integers and confidence is
-    per pixel, so no output byte depends on the band height or the thread
-    count.
+    the band's rows (see :func:`_votes`), blends a float64 copy of them into
+    the preallocated float32 output and, with ``report``, takes the boosted
+    argmax. No band waits for another, and no band adds into a sum that
+    another band shares. Window counts are integers and confidence is per
+    pixel, so no output byte depends on the band height or the thread count.
     """
     if policy not in POLICIES:
         raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
     planes = list(stack.shape)
     k = planes.pop(axis)
-    h, w = planes[-2:]
-    n = math.prod(planes[:-2])
-    pixel = (-3, -2) if axis == -1 else (-2, -1)  # the row and column axes of the maps
-    cols = (slice(None),) * -pixel[1]  # the index of the axes after the rows
+    h = planes[-2]
+    cols = (slice(None),) * (2 if axis == -1 else 1)  # the index of the axes after the rows
     bands = [slice(r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS)]
     weigh = policy != "none" or report
     labels = np.empty(planes, dtype=np.uint16)
     conf = np.empty(planes) if weigh else None
 
-    def check(i, turns):
+    def check(i):
         rows = bands[i]
         band = stack[(..., rows) + cols]
         if not _is_probmap(band, axis):  # one check for NaN, range and row sums; the kernels below skip it
@@ -276,48 +286,23 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
         wide[axis] = 1
         wide = weights.reshape(wide)
     data = np.empty(stack.shape, dtype=np.float32)
-    vote_mass = np.zeros((n, k)) if report else None
     after = np.empty(planes, dtype=np.uint16) if report else None
-    reach = vicinity.height // 2 if policy == "ruv" else 0
 
-    def vote(i, turns):
-        nonlocal vote_mass
+    def vote(i):
         rows = bands[i]
         out = data[(..., rows) + cols]
-        lo, hi = max(rows.start - reach, 0), min(rows.stop + reach, h)
-        block = _one_hot(labels[..., lo:hi, :], k, axis)
-        own = slice(rows.start - lo, rows.stop - lo)
-        hot = block[(..., own) + cols]
-        if policy == "ruv":  # the pixel axes first, one channel per image and class
-            grid = np.moveaxis(block.view(np.uint8), pixel, (0, 1))
-            votes = _band_votes(grid.reshape(hi - lo, w, math.prod(grid.shape[2:])), vicinity, own)
-            votes = np.moveaxis(votes.reshape((rows.stop - rows.start, w) + grid.shape[2:]), (0, 1), pixel)
-        elif policy == "uniform":
-            votes = np.float32(1.0 / k)  # the value of vote_uniform
-        else:
-            votes = hot
-        if report:
-            tally = np.empty((n, 1 + (rows.stop - rows.start) * w, k))
-            mixed = np.moveaxis(tally[:, 1:].reshape(labels[..., rows, :].shape + (k,)), -1, axis)
-            mixed[...] = votes
-            turns.take(i)  # the running mass takes the bands in band order, whichever thread ran them
-            tally[:, 0] = vote_mass
-            vote_mass = np.add.reduce(tally, axis=1)
-            turns.give(i)
-        elif policy != "none":
-            mixed = np.empty(out.shape)
-            mixed[...] = votes
+        hot, votes = _votes(labels, rows, k, axis, vicinity, policy)
         if policy == "none":
             out[...] = votes
         else:
+            mixed = np.empty(out.shape)
+            mixed[...] = votes
             _blend(hot, mixed, wide[(..., rows) + cols], out)
         if report:
             after[..., rows, :] = _argmax(out, axis)
 
     _split(len(bands), vote)
-    if report:
-        vote_mass /= h * w
-    return labels, data, conf, weights, vote_mass, after
+    return labels, data, conf, weights, after
 
 
 def boost(
@@ -351,13 +336,12 @@ def boost_report(
     policy: str = "ruv",
 ) -> BoostReport:
     """Boost a map once and summarize it; ``boosted`` is the label, ``labels`` its argmax."""
-    before, data, conf, weights, vote_mass, after = (
-        a[0] for a in _run(_check_shape(pred)[None], vicinity, policy, report=True))
+    before, data, conf, weights, after = (a[0] for a in _run(_check_shape(pred)[None], vicinity, policy, report=True))
     return BoostReport(
         changed_fraction=float(np.mean(before != after)),
         mean_weight=float(weights.mean(dtype=np.float64)),
         mean_confidence=float(conf.mean()),
-        class_vote_mass=vote_mass,
         boosted=BoostedLabel(data, vicinity, policy),
         labels=after,
+        _before=before,
     )

@@ -281,7 +281,13 @@ def _ten1_layout(head: bytes, size: int) -> tuple[np.dtype, tuple, int, int]:
 
 
 def _read_ten1(stream) -> np.ndarray:
-    """The tensor in a seekable binary stream of TEN1 bytes, with the payload read straight into a fresh array."""
+    """The tensor in a binary stream of TEN1 bytes, read as :func:`read_tensor` reads them.
+
+    A seekable stream is sized before anything is allocated, and its payload
+    is read straight into a fresh array; a pipe is read whole first.
+    """
+    if not stream.seekable():
+        return read_tensor(stream.read())
     size = stream.seek(0, io.SEEK_END)
     stream.seek(0)
     dtype, dims, count, start = _ten1_layout(stream.read(min(size, _TEN1_HEADER_MAX)), size)

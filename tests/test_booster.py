@@ -1,5 +1,6 @@
 """Blending one-hot labels with regional votes under adaptive weights."""
 
+import dataclasses
 import multiprocessing
 import re
 import sys
@@ -299,6 +300,31 @@ class TestBoostReport:
         assert rep.labels.dtype == np.uint16
         assert rep.labels.tobytes() == argmax_labels(ref.data).tobytes()
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_vote_mass_is_counted_only_when_first_read(self, monkeypatch, threads):
+        pred = _random_probmap(np.random.default_rng(31), 12, 10, 3)
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 5)
+        monkeypatch.setattr(segboost.booster, "_THREADS", threads)
+        calls = []
+        votes = segboost.booster._band_votes
+        def counted(p_oh, v, rows):  # the height of the one-hot block, the rows of it voted on, the thread
+            calls.append((len(p_oh), range(*rows.indices(len(p_oh))), threading.current_thread()))
+            return votes(p_oh, v, rows)
+        monkeypatch.setattr(segboost.booster, "_band_votes", counted)
+        # each band's one-hot has a halo of the window's row radius, 1, clipped to the map: rows 0-5, 4-10
+        # and 9-11; votes come only for the band's own rows 0-4, 5-9 and 10-11
+        each_band = [(6, range(0, 5)), (7, range(1, 6)), (3, range(1, 3))]
+        rep = boost_report(pred, VicinitySpec(3, 3), "ruv")
+        assert sorted(call[:2] for call in calls) == sorted(each_band)  # pass 2 alone, on whichever thread
+        calls.clear()
+        mass = rep.class_vote_mass
+        assert [call[:2] for call in calls] == each_band  # in band order
+        assert {call[2] for call in calls} == {threading.main_thread()}
+        assert rep.class_vote_mass is mass and len(calls) == 3  # a second read counts nothing
+        p_oh = one_hot(argmax_labels(pred), 3)
+        assert mass.tobytes() == vote_integral(p_oh, VicinitySpec(3, 3)).mean(axis=(0, 1), dtype=np.float64).tobytes()
+        assert "class_vote_mass" not in {f.name for f in dataclasses.fields(rep)}
+
 
 def _stack(rng, h, w, k):
     """Four maps: random, constant confidence (all weights 1), exact zeros, near-uniform."""
@@ -323,9 +349,8 @@ class TestStackedRun:
         stack = _stack(np.random.default_rng(50), 7, 9, 4)
         n, h, w, k = stack.shape
         v = VicinitySpec(*window, border)
-        labels, data, conf, weights, vote_mass, after = _run(stack, v, policy, report=True)
+        labels, data, conf, weights, after = _run(stack, v, policy, report=True)
         assert data.shape == (n, h, w, k) and labels.shape == conf.shape == after.shape == (n, h, w)
-        assert vote_mass.shape == (n, k)
         for i, pred in enumerate(stack):
             rep = boost_report(pred, v, policy)
             assert data[i].tobytes() == boost(pred, v, policy).data.tobytes()
@@ -339,7 +364,7 @@ class TestStackedRun:
             want_votes = {"ruv": lambda: vote_integral(p_oh, v), "uniform": lambda: vote_uniform(p_oh),
                           "none": lambda: p_oh.astype(np.float32)}[policy]()
             want_mass = want_votes.mean(axis=(0, 1), dtype=np.float64)
-            assert vote_mass[i].tobytes() == rep.class_vote_mass.tobytes() == want_mass.tobytes()
+            assert rep.class_vote_mass.tobytes() == want_mass.tobytes()
             assert rep.mean_weight == float(weights[i].mean(dtype=np.float64))
             assert rep.mean_confidence == float(conf[i].mean())
 
@@ -400,13 +425,12 @@ class TestClassMajorRun:
         v = VicinitySpec(size, size, border)
         want = _run(stack, v, policy, report)
         got = _run(major, v, policy, report, axis=axis)
-        names = ("labels", "boosted", "confidence", "weights", "vote_mass", "boosted_labels")
+        names = ("labels", "boosted", "confidence", "weights", "boosted_labels")
         for name, a, b in zip(names, want, got):
             if a is None:
                 assert b is None, name
                 continue
-            if name != "vote_mass":  # (images, K) in both layouts
-                b = self._class_last(b, axis if name == "boosted" else None)
+            b = self._class_last(b, axis if name == "boosted" else None)
             assert (b.dtype, b.shape) == (a.dtype, a.shape), name
             assert b.tobytes() == a.tobytes(), name
         # harden: argmax and one-hot of the boosted label on the same planes
@@ -433,9 +457,15 @@ class TestClassMajorRun:
         assert str(class_major.value) == str(last.value)
 
 
+def _vote_mass_read(pred, vicinity, policy):
+    """``boost_report`` with its ``class_vote_mass`` read."""
+    return boost_report(pred, vicinity, policy).class_vote_mass
+
+
 class TestMemory:
-    # The band pipeline reaches 2.93x (boost) and 2.95x (boost_report) here; the whole-map pipeline reached 4.54x.
-    @pytest.mark.parametrize("run", [boost, boost_report])
+    # The band pipeline reaches 2.85x (boost) and 2.93x (boost_report, with class_vote_mass read or not) here on
+    # two threads; the whole-map pipeline reached 4.54x.
+    @pytest.mark.parametrize("run", [boost, boost_report, _vote_mass_read])
     def test_traced_peak_is_at_most_three_inputs(self, run):
         pred = _random_probmap(np.random.default_rng(40), 128, 256, 19)
         tracemalloc.start()
@@ -483,7 +513,7 @@ class TestBands:
     def test_run_gives_the_bytes_of_one_band(self, stack, band, threads, policy, border, size, report):
         v = VicinitySpec(*size, border)
         whole, banded = _one_band_and_banded(band, lambda: _run(stack, v, policy, report), threads)
-        for name, a, b in zip(("labels", "boosted", "confidence", "weights", "vote_mass", "boosted_labels"),
+        for name, a, b in zip(("labels", "boosted", "confidence", "weights", "boosted_labels"),
                               whole, banded):
             if a is None:
                 assert b is None, name
@@ -499,7 +529,7 @@ class TestBands:
         _, major, axis = case
         v = VicinitySpec(*size, border)
         whole, banded = _one_band_and_banded(band, lambda: _run(major, v, policy, report, axis=axis), threads)
-        for name, a, b in zip(("labels", "boosted", "confidence", "weights", "vote_mass", "boosted_labels"),
+        for name, a, b in zip(("labels", "boosted", "confidence", "weights", "boosted_labels"),
                               whole, banded):
             if a is None:
                 assert b is None, name
@@ -614,7 +644,7 @@ class TestThreads:
                 raise RuntimeError("band failed on a helper")
             return votes(*args)
         monkeypatch.setattr(segboost.booster, "_band_votes", fail_off_the_caller)
-        for run in (boost, boost_report):  # with and without the band-ordered step
+        for run in (boost, boost_report):  # without and with the boosted argmax
             with pytest.raises(RuntimeError, match="on a helper"):
                 run(pred, VicinitySpec(3, 3), "ruv")
         monkeypatch.setattr(segboost.booster, "_band_votes", votes)
@@ -668,7 +698,7 @@ class TestThreads:
             assert len(helpers) >= threads - 1 and not any(t.is_alive() for t in helpers)
 
     def test_concurrent_callers_get_their_own_bytes(self, monkeypatch):
-        # more threads than cores, switching often: a band run twice, skipped or added out of turn changes bytes
+        # more threads than cores, switching often: a band run twice or skipped changes bytes
         preds = [_random_probmap(np.random.default_rng(83 + i), 24, 16, 5) for i in range(4)]
         monkeypatch.setattr(segboost.booster, "_THREADS", 1)
         want = [boost_report(p, VicinitySpec(5, 5), "ruv") for p in preds]

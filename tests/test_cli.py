@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, file round-trips, exit codes."""
 
 import io
+import os
 import threading
 import warnings
 from collections import Counter
@@ -306,6 +307,24 @@ class TestVoteAndConf:
         every_row = list(range(pred.shape[0]))
         assert covered_rows(cover["validate"]) == covered_rows(cover["confidence"]) == [every_row]
         assert (cover["weights"], cover["vote"], cover["argmax"]) == ([1], [], [])
+
+    def test_conf_reads_a_named_pipe(self, probmap, tmp_path):
+        path, _ = probmap
+        fifo = tmp_path / "pred.fifo"
+        os.mkfifo(fifo)
+        def feed():
+            with open(fifo, "wb") as f:
+                f.write(path.read_bytes())
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            got = run_cli("conf", str(fifo))
+        finally:
+            writer.join(30)
+            if writer.is_alive():  # the command never opened the pipe: open it so the writer returns
+                with open(fifo, "rb"):
+                    pass
+        assert got == run_cli("conf", str(path)) and got[0] == 0
 
     def test_conf_one_hot_is_zero_plane(self, tmp_path):
         oh = one_hot(np.zeros((4, 4), dtype=np.uint16), 2).astype(np.float32)

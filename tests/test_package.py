@@ -31,11 +31,20 @@ def test_all_is_pinned_and_resolves():
         assert getattr(segboost, name) is not None
 
 
+# The modules `import segboost` may load beyond those `import numpy` loads and the package's own.
+IMPORT_ALLOWED = {"__future__", "copy", "dataclasses"}
+
+
 def test_import_starts_no_thread_and_loads_no_executor():
     # boost starts its helper threads within each pass of more than one band and joins them before the
-    # pass ends; importing starts no thread and loads no concurrent.futures (a few ms of import time)
-    probe = ("import sys, threading; import segboost; "
-             "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+    # pass ends; importing starts no thread and loads no concurrent.futures (a few ms of import time).
+    # Nor does it load a module outside the allowlist, so work added at import time fails here.
+    probe = ("import sys, threading; import numpy; before = set(sys.modules); import segboost; "
+             "print(threading.active_count(), 'concurrent.futures' in sys.modules, "
+             "*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["1", "False"]
+    threads, executor, *loaded = done.stdout.split()
+    assert [threads, executor] == ["1", "False"]
+    assert "segboost" in loaded
+    assert {m for m in loaded if m.partition(".")[0] != "segboost"} <= IMPORT_ALLOWED

@@ -1,7 +1,9 @@
 """Label/probability map transforms and the TEN1 byte format."""
 
+import os
 import struct
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -327,19 +329,46 @@ class TestTen1Properties:
         _read_or_format_error(blob)
 
 
+def _array_or_error(read):
+    """``read()``, or the format error it raised."""
+    try:
+        return read()
+    except TensorFormatError as exc:
+        return exc
+
+
 def _read_file_and_bytes(blob: bytes):
     """What the TEN1 reader makes of ``blob`` in a file and ``read_tensor`` of it: an array or a format error, each."""
-    results = []
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "t.ten1"
         path.write_bytes(blob)
         with open(path, "rb", buffering=0) as f:
-            for read in (lambda: _read_ten1(f), lambda: read_tensor(blob)):
-                try:
-                    results.append(read())
-                except TensorFormatError as exc:
-                    results.append(exc)
-    return results
+            return _array_or_error(lambda: _read_ten1(f)), _array_or_error(lambda: read_tensor(blob))
+
+
+def _read_pipe(blob: bytes):
+    """What the TEN1 reader makes of ``blob`` written into a pipe by another thread: an array or a format error."""
+    read_end, write_end = os.pipe()
+    def feed():
+        with open(write_end, "wb") as f:
+            f.write(blob)
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        with open(read_end, "rb", buffering=0) as f:
+            return _array_or_error(lambda: _read_ten1(f))
+    finally:
+        writer.join()
+
+
+def _assert_same_outcome(got, want):
+    """The same array, dtype and shape included, or a format error with the same message and offset."""
+    assert type(got) is type(want)
+    if isinstance(want, TensorFormatError):
+        assert (str(got), got.offset) == (str(want), want.offset)
+    else:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 _BLOBS = st.one_of(
@@ -358,13 +387,17 @@ class TestTen1File:
 
     @given(blob=_BLOBS)
     def test_same_array_or_error_as_read_tensor(self, blob):
-        from_file, from_bytes = _read_file_and_bytes(blob)
-        assert type(from_file) is type(from_bytes)
-        if isinstance(from_bytes, TensorFormatError):
-            assert (str(from_file), from_file.offset) == (str(from_bytes), from_bytes.offset)
-        else:
-            assert (from_file.dtype, from_file.shape) == (from_bytes.dtype, from_bytes.shape)
-            assert from_file.tobytes() == from_bytes.tobytes()
+        _assert_same_outcome(*_read_file_and_bytes(blob))
+
+    @given(blob=_BLOBS)
+    def test_a_pipe_gives_the_same_array_or_error_as_read_tensor(self, blob):
+        # a pipe cannot be sized by seeking, so the reader takes its bytes whole
+        _assert_same_outcome(_read_pipe(blob), _array_or_error(lambda: read_tensor(blob)))
+
+    def test_a_large_payload_through_a_pipe(self):
+        arr = np.random.default_rng(13).random((96, 64, 5)).astype(np.float32)  # 120 KiB: more than a pipe holds
+        back = _read_pipe(write_tensor(arr))
+        assert back.tobytes() == arr.tobytes() and back.flags.writeable
 
     def test_payload_is_read_into_a_writable_array(self, tmp_path):
         arr = np.random.default_rng(12).random((64, 48, 5)).astype(np.float32)
