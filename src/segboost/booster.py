@@ -19,13 +19,17 @@ The blend runs in float64 and is rounded to float32 once, so rows at
 weight exactly 0 or 1 reproduce the votes / one-hot rows bit-for-bit and
 every entry stays inside the [min, max] envelope of its two sources.
 
-One internal pipeline serves :func:`boost`, :func:`boost_report` and the
-simulator, and it takes the class axis. The public functions pass their
-single ``(H, W, K)`` map as a class-last stack of one; the simulator
-passes its class-major ``(2, K, batch, H, W)`` probabilities as they are.
-Either way the pipeline walks the stack in bands of rows, with one kernel
-per stage for both layouts, so no map-size temporary exists beside the
-float32 output. On two CPUs or more, each pass of more than one band
+One internal pipeline serves :func:`boost`, :func:`boost_report`, the
+simulator and ``segboost boost``, and it takes the class axis. The public
+functions pass their single ``(H, W, K)`` map as a class-last stack of
+one; the simulator passes its class-major ``(2, K, batch, H, W)``
+probabilities as they are. Either way the pipeline walks the stack in
+bands of rows, with one kernel per stage for both layouts, so no map-size
+temporary exists beside the float32 output. It takes each band through
+one getter and gives each boosted band to one sink, so the command line
+reads the bands from its TEN1 file and writes them to its output file,
+and holds no map-size array at all: at 1024x2048x19 its traced peak is
+about 0.5x the input. On two CPUs or more, each pass of more than one band
 starts a helper thread, splits its bands with it, two bands in flight
 while numpy's kernels release the GIL, and joins it before the pass
 ends, so no thread outlives a call: at 1024x2048x19 the traced peak is
@@ -227,7 +231,7 @@ def _votes(labels: np.ndarray, rows: slice, k: int, axis: int, vicinity: Vicinit
     return hot, hot
 
 
-def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -1):
+def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -1, sink=None):
     """Boost a stack of maps with its class ``axis``, each stage once for each image row.
 
     The stack is ``(N, H, W, K)`` with ``axis=-1``, or class-major with its
@@ -237,6 +241,16 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
     the planes drop the class axis. Confidence and weights are ``None``
     under ``none`` unless ``report`` asks for them; ``boosted_labels``, the
     argmax of the boosted maps, come with ``report``.
+
+    The stack is read only through its ``shape`` and the one band getter
+    ``stack[..., rows, :, ...]``: an array gives a view of its rows, and a
+    :class:`~segboost.tensors._Ten1Rows` reads them from a TEN1 file. Each
+    finished band goes to one sink: by default the preallocated float32
+    output. With ``sink``, no map-size output exists and ``boosted`` is
+    ``None``: once pass 1 has passed, ``sink()`` is called on the calling
+    thread and returns ``put``, and each band is boosted into a band-sized
+    float32 buffer and handed to ``put(rows, band)`` on the thread that ran
+    it. Pass 2 reads only the label and weight planes, never the stack.
 
     Bands slice the row axis of all images at once, ``_BAND_ROWS`` rows
     each, and each pass runs its bands on up to ``_THREADS`` threads: the
@@ -249,7 +263,7 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
     weights are then taken per image. Pass 2 builds each band's one-hot
     over the band and a halo of the window's row radius, counts votes for
     the band's rows (see :func:`_votes`), blends a float64 copy of them into
-    the preallocated float32 output and, with ``report``, takes the boosted
+    the band's float32 output and, with ``report``, takes the boosted
     argmax. No band waits for another, and no band adds into a sum that
     another band shares. Window counts are integers and confidence is per
     pixel, so no output byte depends on the band height or the thread count.
@@ -277,7 +291,7 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
     try:
         _split(len(bands), check)
     except ValidationError:  # a band failed, and every thread has stopped
-        last = np.moveaxis(stack, axis, -1)
+        last = np.moveaxis(stack[(..., slice(None)) + cols], axis, -1)
         validate_probmap(last.reshape((-1,) + last.shape[-2:]))
         raise
     weights = _image_weights(conf) if weigh else None
@@ -285,13 +299,14 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
         wide = list(stack.shape)
         wide[axis] = 1
         wide = weights.reshape(wide)
-    data = np.empty(stack.shape, dtype=np.float32)
+    put = None if sink is None else sink()
+    data = np.empty(stack.shape, dtype=np.float32) if put is None else None
     after = np.empty(planes, dtype=np.uint16) if report else None
 
     def vote(i):
         rows = bands[i]
-        out = data[(..., rows) + cols]
         hot, votes = _votes(labels, rows, k, axis, vicinity, policy)
+        out = np.empty(hot.shape, dtype=np.float32) if put else data[(..., rows) + cols]
         if policy == "none":
             out[...] = votes
         else:
@@ -300,9 +315,20 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
             _blend(hot, mixed, wide[(..., rows) + cols], out)
         if report:
             after[..., rows, :] = _argmax(out, axis)
+        if put:
+            put(rows, out)
 
     _split(len(bands), vote)
     return labels, data, conf, weights, after
+
+
+def _summary(before: np.ndarray, conf: np.ndarray, weights: np.ndarray, after: np.ndarray) -> dict:
+    """``changed_fraction``, ``mean_weight`` and ``mean_confidence`` of one image's planes from :func:`_run`."""
+    return dict(
+        changed_fraction=float(np.mean(before != after)),
+        mean_weight=float(weights.mean(dtype=np.float64)),
+        mean_confidence=float(conf.mean()),
+    )
 
 
 def boost(
@@ -338,9 +364,7 @@ def boost_report(
     """Boost a map once and summarize it; ``boosted`` is the label, ``labels`` its argmax."""
     before, data, conf, weights, after = (a[0] for a in _run(_check_shape(pred)[None], vicinity, policy, report=True))
     return BoostReport(
-        changed_fraction=float(np.mean(before != after)),
-        mean_weight=float(weights.mean(dtype=np.float64)),
-        mean_confidence=float(conf.mean()),
+        **_summary(before, conf, weights, after),
         boosted=BoostedLabel(data, vicinity, policy),
         labels=after,
         _before=before,

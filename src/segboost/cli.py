@@ -15,7 +15,12 @@ read one (argmax applied) or a 2-D uint16 label map; ``export-pgm`` reads only a
 label map. A ``--classes`` below 1 is a usage error. ``vote`` always takes the
 integral path; ``--fast`` is accepted for compatibility.
 
-Tensors travel as TEN1 files, tables as CSV (stdout or ``--out``).
+Tensors travel as TEN1 files, tables as CSV (stdout or ``--out``); an
+input file named ``-`` is stdin. ``boost`` streams a seekable input and its
+output a band of rows at a time through the booster's pipeline, holding
+only the map's ``(H, W)`` planes and the bands in flight; ``--out`` is
+opened only once the whole input has passed its check, and may name the
+input. A pipe is read into memory first.
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -24,19 +29,20 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .booster import POLICIES, boost_report
+from .booster import POLICIES, _run, _summary
 from .bounds import KL_MODES, GaussianPosterior, _risk_bound, gap_bound, kl_gaussian_product
 from .confidence import _image_weights, _neg_entropy
 from .metrics import ConfusionMatrix
 from .pgm import labels_to_gray, write_pgm
 from .simulate import SimConfig, TrainingDiverged, ablate, rows_to_csv
-from .tensors import (IGNORE_LABEL, TensorFormatError, ValidationError, _check_classes, _read_ten1, _write_ten1,
-                      argmax_labels, one_hot, validate_probmap)
+from .tensors import (IGNORE_LABEL, TensorFormatError, ValidationError, _check_classes, _check_map_kind, _read_ten1,
+                      _seek_layout, _ten1_header, _Ten1Rows, _write_ten1, argmax_labels, one_hot, validate_probmap)
 from .voting import BORDER_MODES, VicinitySpec, vote_integral
 
 
@@ -79,13 +85,25 @@ _PROBMAP = ("3-D f32 probability map", 3, np.float32)
 _LABELS = ("2-D u16 label map", 2, np.uint16)
 
 
+def _open_input(path: str):
+    """The unbuffered binary file ``path`` names; ``-`` names stdin, which closing leaves open."""
+    if path == "-":
+        return open(sys.stdin.fileno(), "rb", buffering=0, closefd=False)
+    return open(path, "rb", buffering=0)
+
+
+def _check_kind(path: str, dtype, shape: tuple, *kinds) -> None:
+    """Raise ``ValidationError`` unless a tensor of ``dtype`` and ``shape`` in ``path`` is one of ``kinds``."""
+    if not any(len(shape) == ndim and dtype == want for _, ndim, want in kinds):
+        wanted = " or ".join(name for name, _, _ in kinds)
+        raise ValidationError(f"{path}: expected a {wanted}, got {dtype} with shape {shape}")
+
+
 def _read_file(path: str, *kinds) -> np.ndarray:
     """The tensor in a TEN1 file, which must be one of ``kinds``."""
-    with open(path, "rb", buffering=0) as f:
+    with _open_input(path) as f:
         arr = _read_ten1(f)
-    if not any(arr.ndim == ndim and arr.dtype == dtype for _, ndim, dtype in kinds):
-        wanted = " or ".join(name for name, _, _ in kinds)
-        raise ValidationError(f"{path}: expected a {wanted}, got {arr.dtype} with shape {arr.shape}")
+    _check_kind(path, arr.dtype, arr.shape, *kinds)
     return arr
 
 
@@ -119,10 +137,28 @@ def _vicinity(args, size: int | None = None) -> VicinitySpec:
 
 
 def _cmd_boost(args) -> int:
-    report = boost_report(_read_file(args.input, _PROBMAP), _vicinity(args), args.policy)
-    _write_file(args.out, report.labels if args.harden else report.boosted.data)
-    _print_metrics(changed_fraction=report.changed_fraction, mean_weight=report.mean_weight,
-                   mean_confidence=report.mean_confidence)
+    with ExitStack() as files:
+        source = files.enter_context(_open_input(args.input))
+        if source.seekable():  # pass 1 reads the map band by band
+            dtype, dims, _, start = _seek_layout(source)
+            pred = _Ten1Rows(source, dtype, dims, start)
+        else:
+            pred = _read_ten1(source)[None]
+        _check_kind(args.input, pred.dtype, pred.shape[1:], _PROBMAP)
+        vicinity = _vicinity(args)
+        _check_map_kind(pred.shape[1:], pred.dtype)
+
+        def sink():  # called once pass 1 has passed, so a map that fails its check leaves --out as it was
+            if args.harden:  # the float32 bands are scratch; the labels are written once pass 2 ends
+                return lambda rows, band: None
+            out = files.enter_context(open(args.out, "wb"))
+            out.write(_ten1_header(np.float32, pred.shape[1:]))
+            return _Ten1Rows(out, np.dtype("<f4"), pred.shape[1:], out.tell()).write
+
+        before, _, conf, weights, after = _run(pred, vicinity, args.policy, report=True, sink=sink)
+    if args.harden:
+        _write_file(args.out, after[0])
+    _print_metrics(**_summary(before[0], conf[0], weights[0], after[0]))
     return 0
 
 

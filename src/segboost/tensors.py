@@ -10,8 +10,11 @@ Conventions used throughout the package:
   (0 for void pixels).
 
 Everything here is a pure function over immutable inputs (the private
-TEN1 reader and writer only read or write the stream they are given);
-nothing keeps state, so all of it is safe to call from multiple threads.
+TEN1 readers and writers only read or write the stream they are given);
+nothing else keeps state, so all of it is safe to call from multiple
+threads. The band reader and writer of a stream, ``_Ten1Rows``, holds a
+lock of its own, so bands of one stream may be read or written from
+several threads.
 """
 
 from __future__ import annotations
@@ -139,14 +142,19 @@ def _over_classes(op, x: np.ndarray, dtype=None, axis: int = -1) -> np.ndarray:
 
 
 def _check_shape(pred) -> np.ndarray:
-    """The map as an array, after checking it is (H, W, K), K a valid class count, and of real numbers."""
+    """The map as an array, after :func:`_check_map_kind` of its shape and dtype."""
     pred = np.asarray(pred)
-    if pred.ndim != 3 or pred.shape[2] < 1:
-        raise ValidationError(f"probability map must be (H, W, K), got shape {pred.shape}")
-    if pred.dtype.kind not in "biuf":
-        raise ValidationError(f"probability map must be bool, integer or float, got dtype {pred.dtype}")
-    _check_classes(pred.shape[2])  # labels are uint16, with IGNORE_LABEL reserved
+    _check_map_kind(pred.shape, pred.dtype)
     return pred
+
+
+def _check_map_kind(shape: tuple, dtype: np.dtype) -> None:
+    """Raise ``ValidationError`` unless a map is (H, W, K), K a valid class count, and of real numbers."""
+    if len(shape) != 3 or shape[2] < 1:
+        raise ValidationError(f"probability map must be (H, W, K), got shape {shape}")
+    if dtype.kind not in "biuf":
+        raise ValidationError(f"probability map must be bool, integer or float, got dtype {dtype}")
+    _check_classes(shape[2])  # labels are uint16, with IGNORE_LABEL reserved
 
 
 def _check_map(pred) -> np.ndarray:
@@ -222,16 +230,22 @@ def validate_probmap(pred: np.ndarray) -> np.ndarray:
     return pred
 
 
+def _ten1_header(dtype, shape) -> bytes:
+    """The TEN1 header of an array of ``dtype`` and ``shape``; a dtype or rank TEN1 cannot hold raises."""
+    kind = np.dtype(dtype).newbyteorder("<").str.lstrip("<|=")
+    if kind not in _CODE_FOR_KIND:
+        raise ValidationError(f"unsupported dtype {np.dtype(dtype)}; use float32, uint16, or uint8")
+    if len(shape) > 255:
+        raise ValidationError("tensor rank exceeds 255")
+    return struct.pack(f"<4sBB{len(shape)}Q", _MAGIC, _CODE_FOR_KIND[kind], len(shape), *shape)
+
+
 def _write_ten1(stream, arr: np.ndarray) -> None:
     """Write an array to a binary stream as TEN1: its header, then its C-ordered little-endian buffer."""
     arr = np.asarray(arr)
-    kind = arr.dtype.newbyteorder("<").str.lstrip("<|=")
-    if kind not in _CODE_FOR_KIND:
-        raise ValidationError(f"unsupported dtype {arr.dtype}; use float32, uint16, or uint8")
-    if arr.ndim > 255:
-        raise ValidationError("tensor rank exceeds 255")
+    header = _ten1_header(arr.dtype, arr.shape)
     arr = np.asarray(arr, dtype=arr.dtype.newbyteorder("<"), order="C")  # keeps a 0-d array 0-d
-    stream.write(struct.pack(f"<4sBB{arr.ndim}Q", _MAGIC, _CODE_FOR_KIND[kind], arr.ndim, *arr.shape))
+    stream.write(header)
     stream.write(arr.data)
 
 
@@ -246,13 +260,13 @@ def write_tensor(arr: np.ndarray) -> bytes:
     return out.getvalue()
 
 
-def _ten1_layout(head: bytes, size: int) -> tuple[np.dtype, tuple, int, int]:
-    """``(dtype, dims, count, start)`` of the TEN1 bytes of ``size`` bytes that begin with ``head``.
+def _ten1_head(head: bytes, size: int) -> tuple[np.dtype, tuple, int, int]:
+    """``(dtype, dims, count, start)`` of the TEN1 header at the front of ``size`` bytes that begin with ``head``.
 
     ``head`` holds the header, or all of the bytes if there are fewer;
     ``count`` elements of ``dtype`` begin at offset ``start``. Raises
-    :class:`TensorFormatError` unless the header is whole and valid and
-    the payload fills the rest of the bytes exactly.
+    :class:`TensorFormatError` unless the header is whole and valid; the
+    payload is not checked.
     """
     if size < 6:
         raise TensorFormatError("truncated header", size)
@@ -265,45 +279,126 @@ def _ten1_layout(head: bytes, size: int) -> tuple[np.dtype, tuple, int, int]:
     if size < dims_end:
         raise TensorFormatError(f"truncated dims: need {dims_end} header bytes", size)
     dims = struct.unpack_from(f"<{ndim}Q", head, 6)
-    dtype = _DTYPE_CODES[code]
     count = 1
     for d in dims:
         count *= d
-    expected_end = dims_end + count * dtype.itemsize
+    return _DTYPE_CODES[code], dims, count, dims_end
+
+
+def _ten1_layout(head: bytes, size: int) -> tuple[np.dtype, tuple, int, int]:
+    """:func:`_ten1_head` of ``size`` bytes, which also raises unless the payload fills the rest exactly."""
+    dtype, dims, count, start = _ten1_head(head, size)
+    expected_end = start + count * dtype.itemsize
     if size != expected_end:
         kind = "truncated" if size < expected_end else "oversized"
         raise TensorFormatError(
             f"{kind} payload: expected {count} elements ending at byte {expected_end}, "
-            f"got {size - dims_end} payload bytes",
+            f"got {size - start} payload bytes",
             min(size, expected_end),
         )
-    return dtype, dims, count, dims_end
+    return dtype, dims, count, start
+
+
+def _seek_layout(stream) -> tuple[np.dtype, tuple, int, int]:
+    """:func:`_ten1_layout` of a seekable stream, sized by seeking and read no further than its header."""
+    size = stream.seek(0, io.SEEK_END)
+    stream.seek(0)
+    return _ten1_layout(stream.read(min(size, _TEN1_HEADER_MAX)), size)
+
+
+def _fill(stream, arr: np.ndarray) -> int:
+    """Read from the stream's position into ``arr``'s buffer until it is full or the stream ends; the bytes read."""
+    view = arr.reshape(-1).view(np.uint8)
+    done = 0
+    while done < view.size:
+        got = stream.readinto(view[done:])
+        if not got:
+            break
+        done += got
+    return done
+
+
+def _fill_at(stream, arr: np.ndarray, offset: int) -> None:
+    """Fill ``arr`` from ``offset`` of a seekable stream; bytes that end first raise a truncated payload there."""
+    stream.seek(offset)
+    done = _fill(stream, arr)
+    if done < arr.nbytes:  # the file shrank after its size was read
+        raise TensorFormatError("truncated payload", offset + done)
+
+
+def _ten1_array(dtype: np.dtype, dims: tuple, count: int) -> np.ndarray:
+    """A fresh array for a payload of ``count`` elements; dims numpy cannot hold raise a format error."""
+    try:  # an empty tensor can still name dims numpy cannot hold; its reshape names the fault
+        return np.empty(dims, dtype=dtype) if count else np.empty(0, dtype=dtype).reshape(dims).copy()
+    except ValueError as exc:
+        raise TensorFormatError(f"dims {dims} not representable: {exc}", 6) from None
 
 
 def _read_ten1(stream) -> np.ndarray:
     """The tensor in a binary stream of TEN1 bytes, read as :func:`read_tensor` reads them.
 
-    A seekable stream is sized before anything is allocated, and its payload
-    is read straight into a fresh array; a pipe is read whole first.
+    A seekable stream is sized before anything is allocated, and its
+    payload is read straight into a fresh array. A pipe is read through its
+    header into a fresh array of the size the header names; what is left of
+    it is then drained and counted, so that a short or long payload, or dims
+    numpy cannot allocate, raise what :func:`read_tensor` of its bytes does.
     """
-    if not stream.seekable():
-        return read_tensor(stream.read())
-    size = stream.seek(0, io.SEEK_END)
-    stream.seek(0)
-    dtype, dims, count, start = _ten1_layout(stream.read(min(size, _TEN1_HEADER_MAX)), size)
-    try:  # an empty tensor can still name dims numpy cannot hold; its reshape names the fault
-        arr = np.empty(dims, dtype=dtype) if count else np.empty(0, dtype=dtype).reshape(dims).copy()
-    except ValueError as exc:
-        raise TensorFormatError(f"dims {dims} not representable: {exc}", 6) from None
-    payload = arr.reshape(-1).view(np.uint8)
-    stream.seek(start)
-    done = 0
-    while done < payload.size:
-        got = stream.readinto(payload[done:])
-        if not got:  # the file shrank after its size was read
-            raise TensorFormatError("truncated payload", start + done)
-        done += got
+    if stream.seekable():
+        dtype, dims, count, start = _seek_layout(stream)
+        arr = _ten1_array(dtype, dims, count)
+        _fill_at(stream, arr, start)
+        return arr
+    head = np.empty(6, dtype=np.uint8)
+    head = head[:_fill(stream, head)].tobytes()
+    if len(head) == 6:  # the dims, as many as the rank byte names
+        tail = np.empty(8 * head[5], dtype=np.uint8)
+        head += tail[:_fill(stream, tail)].tobytes()
+    dtype, dims, count, start = _ten1_head(head, len(head))
+    try:
+        arr, failed = _ten1_array(dtype, dims, count), None
+    except (TensorFormatError, MemoryError) as exc:  # raised only if the stream holds the payload it names
+        arr, failed = np.empty(0, dtype=np.uint8), exc
+    size = start + _fill(stream, arr)
+    rest = bytearray(1 << 16)
+    while got := stream.readinto(rest):
+        size += got
+    _ten1_layout(head, size)
+    if failed:
+        raise failed
     return arr
+
+
+class _Ten1Rows:
+    """The tensor of a seekable TEN1 stream as a stack of one, read and written a band of rows at a time.
+
+    ``shape`` is ``(1,) + dims``. Indexing with ``(..., rows, :, ...)``,
+    ``rows`` a slice of the tensor's first axis, reads those rows into a
+    fresh array of that shape, and ``write(rows, band)`` writes a band of
+    those rows there. One lock keeps each seek with its read or write, so
+    any thread may do either; a read that comes up short raises a
+    truncated-payload :class:`TensorFormatError` at the offset where the
+    bytes ended.
+    """
+
+    def __init__(self, stream, dtype: np.dtype, dims: tuple, start: int):
+        import threading  # loaded by the booster already; importing this module loads nothing new
+
+        self.stream, self.dtype, self.shape, self.start = stream, dtype, (1,) + tuple(dims), start
+        self._row_bytes = dtype.itemsize * int(np.prod(dims[1:]))
+        self._lock = threading.Lock()
+
+    def __getitem__(self, index) -> np.ndarray:
+        start, stop, _ = index[1 - len(self.shape)].indices(self.shape[1])
+        band = np.empty((1, stop - start) + self.shape[2:], dtype=self.dtype)
+        with self._lock:
+            _fill_at(self.stream, band, self.start + start * self._row_bytes)
+        return band
+
+    def write(self, rows: slice, band: np.ndarray) -> None:
+        data = np.ascontiguousarray(band, dtype=self.dtype)
+        with self._lock:
+            self.stream.seek(self.start + rows.start * self._row_bytes)
+            self.stream.write(data.data)
 
 
 def read_tensor(data: bytes) -> np.ndarray:

@@ -2,7 +2,11 @@
 
 import io
 import os
+import subprocess
+import sys
+import tempfile
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,18 +15,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import segboost.booster
 import segboost.cli
+import segboost.tensors
 from segboost import (
     IGNORE_LABEL,
     SimConfig,
+    TensorFormatError,
     ValidationError,
     argmax_labels,
     boost,
     boost_report,
     one_hot,
     read_tensor,
+    validate_probmap,
     vote_naive,
     VicinitySpec,
     write_tensor,
@@ -51,15 +61,33 @@ def count_stages(monkeypatch):
     checked. Validate, argmax and confidence record the rows of the map or
     band they scan (see :func:`covered_rows`), weights the number of images
     it weighs, and votes the height of the one-hot block it counts and the
-    rows of that block it votes on.
+    rows of that block it votes on. A view covers its rows of the array it
+    views (:func:`_rows_of`). A band that ``segboost boost`` streams sits in
+    a buffer of its own, so it covers the rows its thread last began: rows
+    of the input file, read through the band getter, in pass 1, and rows of
+    the boosted map, voted on in pass 2.
     """
+    began = threading.local()  # (owner, rows) of the streamed band this thread is on
+    read = segboost.tensors._Ten1Rows.__getitem__
+    def get_band(reader, index):
+        began.band = (id(reader), range(*index[-3].indices(reader.shape[1])))
+        return read(reader, index)
+    monkeypatch.setattr(segboost.tensors._Ten1Rows, "__getitem__", get_band)
+    votes = segboost.booster._votes
+    def vote_band(labels, rows, *args):
+        began.band = ("boosted", range(rows.start, rows.stop))
+        return votes(labels, rows, *args)
+    monkeypatch.setattr(segboost.booster, "_votes", vote_band)
+    def rows_of(band, *args):
+        return began.band if band.base is None and hasattr(began, "band") else _rows_of(band)
+
     stages = {
-        "validate": ({"booster": "_is_probmap", "cli": "validate_probmap"}, _rows_of),
+        "validate": ({"booster": "_is_probmap", "cli": "validate_probmap"}, rows_of),
         "vote": ({"booster": "_band_votes", "cli": "vote_integral"},
                  lambda p_oh, v, rows=slice(None), *_: (len(p_oh), range(*rows.indices(len(p_oh))))),
-        "confidence": ({"booster": "_neg_entropy", "cli": "_neg_entropy"}, _rows_of),
+        "confidence": ({"booster": "_neg_entropy", "cli": "_neg_entropy"}, rows_of),
         "weights": ({"booster": "_image_weights", "cli": "_image_weights"}, lambda planes: planes.shape[0]),
-        "argmax": ({"booster": "_argmax", "cli": "argmax_labels"}, _rows_of),
+        "argmax": ({"booster": "_argmax", "cli": "argmax_labels"}, rows_of),
     }
     cover = {stage: [] for stage in stages}
     for stage, (names, measure) in stages.items():
@@ -271,6 +299,120 @@ class TestBoostCommand:
             code, _, err = run_cli(*command)
             assert code == 2
             assert "class sum" in err
+
+
+@st.composite
+def _probmaps(draw):
+    """An (H, W, K) float32 probability map with ties and exact zeros, 1 to 40 rows: up to 40 bands, or two of 32."""
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 5)), draw(st.integers(1, 20)))
+    raw = draw(arrays(np.int64, shape, elements=st.integers(0, 3) | st.integers(0, 10**6)))
+    raw[..., 0] += raw.sum(axis=-1) == 0  # every row has mass
+    return (raw / raw.sum(axis=-1, keepdims=True)).astype(np.float32)
+
+
+class _ShortFile(io.FileIO):
+    """A file whose reads return no bytes from offset ``cut`` on, as if it ended there."""
+
+    cut = 0
+
+    def readinto(self, buffer):
+        room = self.cut - self.tell()
+        return super().readinto(memoryview(buffer).cast("B")[:room]) if room > 0 else 0
+
+
+class TestStreamedBoost:
+    """``segboost boost`` reads its input and writes its output a band of rows at a time."""
+
+    @given(pred=_probmaps(), band=st.sampled_from([1, 7, 32]), threads=st.integers(1, 3),
+           policy=st.sampled_from(["ruv", "uniform", "none"]), border=st.sampled_from(["clip", "zero"]),
+           size=st.sampled_from([1, 3, 5, 9]))
+    def test_files_and_lines_are_the_library_boost(self, pred, band, threads, policy, border, size):
+        v = VicinitySpec(size, size, border)
+        rep = boost_report(pred, v, policy)
+        printed = (f"metric,value\nchanged_fraction,{rep.changed_fraction:.6f}\n"
+                   f"mean_weight,{rep.mean_weight:.6f}\nmean_confidence,{rep.mean_confidence:.6f}\n")
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(segboost.booster, "_BAND_ROWS", band)
+            patch.setattr(segboost.booster, "_THREADS", threads)
+            src, soft, hard = Path(d) / "pred.ten1", Path(d) / "soft.ten1", Path(d) / "hard.ten1"
+            src.write_bytes(write_tensor(pred))
+            flags = ["--vicinity", str(size), "--border", border, "--policy", policy]
+            assert run_cli("boost", str(src), "--out", str(soft), *flags) == (0, printed, "")
+            assert run_cli("boost", str(src), "--out", str(hard), "--harden", *flags) == (0, printed, "")
+            assert soft.read_bytes() == write_tensor(boost(pred, v, policy).data)
+            assert hard.read_bytes() == write_tensor(rep.labels)
+
+    @pytest.mark.parametrize("harden", [[], ["--harden"]])
+    def test_out_may_name_the_input(self, probmap, tmp_path, monkeypatch, harden):
+        path, _ = probmap
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 5)
+        apart = tmp_path / "apart.ten1"
+        want = run_cli("boost", str(path), "--out", str(apart), *harden)
+        assert run_cli("boost", str(path), "--out", str(path), *harden) == want and want[0] == 0
+        assert path.read_bytes() == apart.read_bytes()
+
+    @pytest.mark.parametrize("harden", [[], ["--harden"]])
+    def test_a_map_that_fails_its_check_leaves_out_as_it_was(self, tmp_path, monkeypatch, harden):
+        pred = np.full((12, 4, 3), 1 / 3, dtype=np.float32)
+        pred[9, 2] = [0.5, 0.5, 0.5]  # in the last of three 5-row bands
+        pred[11, 1, 0] = np.nan
+        with pytest.raises(ValidationError) as whole:
+            validate_probmap(pred)
+        src, out = tmp_path / "pred.ten1", tmp_path / "o.ten1"
+        src.write_bytes(write_tensor(pred))
+        out.write_bytes(b"an earlier output")
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 5)
+        assert run_cli("boost", str(src), "--out", str(out), *harden) == (2, "", f"error: {whole.value}\n")
+        assert out.read_bytes() == b"an earlier output"
+
+    def test_a_file_that_ends_mid_band_is_a_truncated_payload(self, probmap, tmp_path, monkeypatch):
+        path, pred = probmap
+        row = pred.shape[1] * pred.shape[2] * 4
+        cut = 6 + 8 * 3 + 7 * row + row // 2  # halfway through row 7, in the second of three 5-row bands
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 5)
+        monkeypatch.setattr(_ShortFile, "cut", cut)
+        monkeypatch.setattr(segboost.cli, "open", lambda file, *args, **kwargs: _ShortFile(file), raising=False)
+        out = tmp_path / "o.ten1"
+        for threads in (1, 2):
+            monkeypatch.setattr(segboost.booster, "_THREADS", threads)
+            assert run_cli("boost", str(path), "--out", str(out)) == (
+                2, "", f"error: truncated payload (byte offset {cut})\n")
+            assert not out.exists()
+        with pytest.raises(TensorFormatError) as info:
+            segboost.cli._read_file(str(path), segboost.cli._PROBMAP)
+        assert info.value.offset == cut
+
+    @pytest.mark.parametrize("harden", [[], ["--harden"]])
+    @pytest.mark.parametrize("stdin", ["pipe", "file"])
+    def test_dash_reads_stdin(self, probmap, tmp_path, harden, stdin):
+        # cat pred.ten1 | segboost boost - --out o.ten1, and segboost boost - --out o.ten1 < pred.ten1
+        path, _ = probmap
+        want, got = tmp_path / "want.ten1", tmp_path / "got.ten1"
+        code, lines, _ = run_cli("boost", str(path), "--out", str(want), "--vicinity", "3", *harden)
+        src = str(Path(segboost.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "segboost.cli", "boost", "-", "--out", str(got), "--vicinity", "3", *harden]
+        with open(path, "rb") as f:
+            feed = dict(input=f.read()) if stdin == "pipe" else dict(stdin=f)
+            done = subprocess.run(argv, env=env, capture_output=True, timeout=120, **feed)
+        assert (done.returncode, done.stdout.decode(), done.stderr) == (code, lines, b"") and code == 0
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_a_large_map_peaks_at_a_fraction_of_its_input(self, tmp_path):
+        # the (H, W) planes and two bands in flight take about 0.5x; the whole input alone would take 1x
+        pred = np.random.default_rng(44).random((1024, 512, 19), dtype=np.float32) + np.float32(1e-3)
+        pred /= pred.sum(axis=2, keepdims=True)
+        src = tmp_path / "pred.ten1"
+        src.write_bytes(write_tensor(pred))
+        del pred
+        tracemalloc.start()
+        try:
+            assert run_cli("boost", str(src), "--out", str(tmp_path / "o.ten1"))[0] == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        nbytes = 1024 * 512 * 19 * 4
+        assert peak <= 0.6 * nbytes, f"peak {peak / nbytes:.2f}x the input"
 
 
 class TestVoteAndConf:

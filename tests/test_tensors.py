@@ -1,5 +1,6 @@
 """Label/probability map transforms and the TEN1 byte format."""
 
+import io
 import os
 import struct
 import tempfile
@@ -27,7 +28,7 @@ from segboost import (
     write_tensor,
 )
 from segboost.cli import _write_file
-from segboost.tensors import _read_ten1
+from segboost.tensors import _read_ten1, _seek_layout, _ten1_header, _Ten1Rows
 
 
 class TestOneHot:
@@ -391,7 +392,8 @@ class TestTen1File:
 
     @given(blob=_BLOBS)
     def test_a_pipe_gives_the_same_array_or_error_as_read_tensor(self, blob):
-        # a pipe cannot be sized by seeking, so the reader takes its bytes whole
+        # a pipe cannot be sized by seeking: the reader takes its header, reads the payload the header names
+        # into an array and counts what is left
         _assert_same_outcome(_read_pipe(blob), _array_or_error(lambda: read_tensor(blob)))
 
     def test_a_large_payload_through_a_pipe(self):
@@ -406,3 +408,28 @@ class TestTen1File:
         with open(path, "rb", buffering=0) as f:
             back = _read_ten1(f)
         assert back.tobytes() == arr.tobytes() and back.flags.writeable
+
+
+class TestTen1Rows:
+    """The band reader and writer that ``segboost boost`` streams a TEN1 file through."""
+
+    @given(arr=_ten1_arrays().filter(lambda a: a.ndim > 0), data=st.data())
+    def test_bands_read_and_write_the_rows_of_the_tensor(self, arr, data):
+        arr = np.asarray(arr, dtype=arr.dtype.newbyteorder("<"))
+        h, rest = arr.shape[0], (slice(None),) * (arr.ndim - 1)
+        cuts = sorted(data.draw(st.lists(st.integers(0, h), max_size=4)) + [0, h])
+        bands = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        stream = io.BytesIO(write_tensor(arr))
+        dtype, dims, _, start = _seek_layout(stream)
+        reader = _Ten1Rows(stream, dtype, dims, start)
+        assert reader.shape == (1,) + arr.shape and reader.dtype == arr.dtype
+        for rows in bands + [slice(None)]:
+            band = reader[(..., rows) + rest]
+            assert band.shape == arr[None][(..., rows) + rest].shape
+            assert band.tobytes() == arr[rows].tobytes()
+        out = io.BytesIO()
+        out.write(_ten1_header(arr.dtype, arr.shape))
+        writer = _Ten1Rows(out, arr.dtype, arr.shape, out.tell())
+        for rows in data.draw(st.permutations(bands)):
+            writer.write(rows, arr[None][(..., rows) + rest])
+        assert out.getvalue() == write_tensor(arr)
