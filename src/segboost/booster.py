@@ -246,11 +246,12 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
     ``stack[..., rows, :, ...]``: an array gives a view of its rows, and a
     :class:`~segboost.tensors._Ten1Rows` reads them from a TEN1 file. Each
     finished band goes to one sink: by default the preallocated float32
-    output. With ``sink``, no map-size output exists and ``boosted`` is
-    ``None``: once pass 1 has passed, ``sink()`` is called on the calling
-    thread and returns ``put``, and each band is boosted into a band-sized
+    output. With ``sink``, once pass 1 has passed, ``sink()`` is called on
+    the calling thread. If it returns ``put``, no map-size output exists
+    and ``boosted`` is ``None``: each band is boosted into a band-sized
     float32 buffer and handed to ``put(rows, band)`` on the thread that ran
-    it. Pass 2 reads only the label and weight planes, never the stack.
+    it. If it returns ``None``, the bands fill the float32 output as by
+    default. Pass 2 reads only the label and weight planes, never the stack.
 
     Bands slice the row axis of all images at once, ``_BAND_ROWS`` rows
     each, and each pass runs its bands on up to ``_THREADS`` threads: the

@@ -20,7 +20,9 @@ input file named ``-`` is stdin. ``boost`` streams a seekable input and its
 output a band of rows at a time through the booster's pipeline, holding
 only the map's ``(H, W)`` planes and the bands in flight; ``--out`` is
 opened only once the whole input has passed its check, and may name the
-input. A pipe is read into memory first.
+input. Its header is written after the last band, so a run cut short
+leaves a file that does not read as a tensor. An input pipe is read into
+memory first, and an output pipe takes the boosted map whole at the end.
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -42,7 +44,8 @@ from .metrics import ConfusionMatrix
 from .pgm import labels_to_gray, write_pgm
 from .simulate import SimConfig, TrainingDiverged, ablate, rows_to_csv
 from .tensors import (IGNORE_LABEL, TensorFormatError, ValidationError, _check_classes, _check_map_kind, _read_ten1,
-                      _seek_layout, _ten1_header, _Ten1Rows, _write_ten1, argmax_labels, one_hot, validate_probmap)
+                      _seek_layout, _ten1_array, _ten1_header, _Ten1Rows, _write_ten1, argmax_labels, one_hot,
+                      validate_probmap)
 from .voting import BORDER_MODES, VicinitySpec, vote_integral
 
 
@@ -140,22 +143,31 @@ def _cmd_boost(args) -> int:
     with ExitStack() as files:
         source = files.enter_context(_open_input(args.input))
         if source.seekable():  # pass 1 reads the map band by band
-            dtype, dims, _, start = _seek_layout(source)
-            pred = _Ten1Rows(source, dtype, dims, start)
+            dtype, dims, count, start = _seek_layout(source)
+            # an empty map is read whole, which checks that numpy can hold its dims
+            pred = _Ten1Rows(source, dtype, dims, start) if count else _ten1_array(dtype, dims, count)[None]
         else:
             pred = _read_ten1(source)[None]
         _check_kind(args.input, pred.dtype, pred.shape[1:], _PROBMAP)
         vicinity = _vicinity(args)
         _check_map_kind(pred.shape[1:], pred.dtype)
+        header = _ten1_header(np.float32, pred.shape[1:])
+        out = None
 
         def sink():  # called once pass 1 has passed, so a map that fails its check leaves --out as it was
+            nonlocal out
             if args.harden:  # the float32 bands are scratch; the labels are written once pass 2 ends
                 return lambda rows, band: None
             out = files.enter_context(open(args.out, "wb"))
-            out.write(_ten1_header(np.float32, pred.shape[1:]))
-            return _Ten1Rows(out, np.dtype("<f4"), pred.shape[1:], out.tell()).write
+            if out.seekable():  # bands go to their offsets; None has _run build the map for a pipe
+                return _Ten1Rows(out, np.dtype("<f4"), pred.shape[1:], len(header)).write
 
-        before, _, conf, weights, after = _run(pred, vicinity, args.policy, report=True, sink=sink)
+        before, data, conf, weights, after = _run(pred, vicinity, args.policy, report=True, sink=sink)
+        if data is not None:
+            _write_ten1(out, data[0])
+        elif out is not None:  # the header goes last, so a run cut short leaves no file that reads as a tensor
+            out.seek(0)
+            out.write(header)
     if args.harden:
         _write_file(args.out, after[0])
     _print_metrics(**_summary(before[0], conf[0], weights[0], after[0]))

@@ -381,10 +381,11 @@ class _Ten1Rows:
     """
 
     def __init__(self, stream, dtype: np.dtype, dims: tuple, start: int):
+        import math
         import threading  # loaded by the booster already; importing this module loads nothing new
 
         self.stream, self.dtype, self.shape, self.start = stream, dtype, (1,) + tuple(dims), start
-        self._row_bytes = dtype.itemsize * int(np.prod(dims[1:]))
+        self._row_bytes = dtype.itemsize * math.prod(dims[1:])
         self._lock = threading.Lock()
 
     def __getitem__(self, index) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import io
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -381,6 +382,60 @@ class TestStreamedBoost:
         with pytest.raises(TensorFormatError) as info:
             segboost.cli._read_file(str(path), segboost.cli._PROBMAP)
         assert info.value.offset == cut
+
+    @pytest.mark.parametrize("dims", [(0, 2**62, 3), (4, 2**62, 0)])
+    def test_an_empty_map_numpy_cannot_hold_is_a_format_error(self, tmp_path, dims):
+        blob = b"TEN1" + bytes([0, 3]) + struct.pack("<3Q", *dims)
+        with pytest.raises(TensorFormatError) as info:
+            read_tensor(blob)
+        src = tmp_path / "pred.ten1"
+        src.write_bytes(blob)
+        assert run_cli("boost", str(src), "--out", str(tmp_path / "o.ten1")) == (2, "", f"error: {info.value}\n")
+
+    def test_a_run_cut_short_leaves_no_file_that_reads_as_a_tensor(self, probmap, tmp_path, monkeypatch):
+        # band 1 of 2 is written before band 0 fails, so the file has the size of the whole tensor
+        path, _ = probmap
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 6)
+        monkeypatch.setattr(segboost.booster, "_THREADS", 2)
+        written = threading.Event()
+        write, votes = segboost.tensors._Ten1Rows.write, segboost.booster._votes
+        def put(writer, rows, band):
+            write(writer, rows, band)
+            written.set()
+        def vote(labels, rows, *args):
+            if rows.start == 0:
+                assert written.wait(30)
+                raise OSError("no space left on device")
+            return votes(labels, rows, *args)
+        monkeypatch.setattr(segboost.tensors._Ten1Rows, "write", put)
+        monkeypatch.setattr(segboost.booster, "_votes", vote)
+        out = tmp_path / "o.ten1"
+        assert run_cli("boost", str(path), "--out", str(out)) == (2, "", "error: no space left on device\n")
+        assert out.stat().st_size == path.stat().st_size
+        with pytest.raises(TensorFormatError, match="bad magic"):
+            read_tensor(out.read_bytes())
+
+    @pytest.mark.parametrize("harden", [[], ["--harden"]])
+    def test_out_may_name_a_named_pipe(self, probmap, tmp_path, monkeypatch, harden):
+        path, _ = probmap
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 5)
+        fifo, want = tmp_path / "out.fifo", tmp_path / "want.ten1"
+        os.mkfifo(fifo)
+        got = []
+        def drain():
+            with open(fifo, "rb") as f:
+                got.append(f.read())
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            done = run_cli("boost", str(path), "--out", str(fifo), *harden)
+        finally:
+            reader.join(30)
+            if reader.is_alive():  # the command never opened the pipe: open it so the reader returns
+                with open(fifo, "wb"):
+                    pass
+        assert done == run_cli("boost", str(path), "--out", str(want), *harden) and done[0] == 0
+        assert got == [want.read_bytes()]
 
     @pytest.mark.parametrize("harden", [[], ["--harden"]])
     @pytest.mark.parametrize("stdin", ["pipe", "file"])
