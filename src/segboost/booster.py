@@ -223,7 +223,7 @@ def _votes(labels: np.ndarray, rows: slice, k: int, axis: int, vicinity: Vicinit
     own = slice(rows.start - lo, rows.stop - lo)
     hot = block[(..., own) + cols]
     if policy == "ruv":  # the pixel axes first, one channel per image and class
-        grid = np.moveaxis(block.view(np.uint8), pixel, (0, 1))
+        grid = np.moveaxis(block, pixel, (0, 1))
         votes = _band_votes(grid.reshape(hi - lo, w, math.prod(grid.shape[2:])), vicinity, own)
         return hot, np.moveaxis(votes.reshape((rows.stop - rows.start, w) + grid.shape[2:]), (0, 1), pixel)
     if policy == "uniform":
@@ -238,9 +238,11 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
     pixel axes last, as the simulator's ``(2, K, batch, H, W)`` with
     ``axis=1``. Returns ``(labels, boosted, confidence, weights,
     boosted_labels)`` in its layout: ``boosted`` has the stack's shape and
-    the planes drop the class axis. Confidence and weights are ``None``
-    under ``none`` unless ``report`` asks for them; ``boosted_labels``, the
-    argmax of the boosted maps, come with ``report``.
+    the planes drop the class axis. Weights are ``None`` under ``none``
+    unless ``report`` asks for them; ``confidence``, each image's mean with
+    the plane axes at length 1, and ``boosted_labels``, the argmax of the
+    boosted maps, come with ``report``. A map with no pixels that needs
+    weights is rejected before any band.
 
     The stack is read only through its ``shape`` and the one band getter
     ``stack[..., rows, :, ...]``: an array gives a view of its rows, and a
@@ -273,10 +275,12 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
         raise ValidationError(f"policy must be one of {POLICIES}, got {policy!r}")
     planes = list(stack.shape)
     k = planes.pop(axis)
-    h = planes[-2]
+    h, w = planes[-2:]
     cols = (slice(None),) * (2 if axis == -1 else 1)  # the index of the axes after the rows
-    bands = [slice(r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h, _BAND_ROWS)]
     weigh = policy != "none" or report
+    if weigh and not h * w:  # before any band: a map with no pixels has no confidence range to weight by
+        raise ValidationError(f"confidence plane of shape {(h, w)} has no pixels")
+    bands = [slice(r0, min(r0 + _BAND_ROWS, h)) for r0 in range(0, h if w else 0, _BAND_ROWS)]
     labels = np.empty(planes, dtype=np.uint16)
     conf = np.empty(planes) if weigh else None
 
@@ -296,6 +300,8 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
         validate_probmap(last.reshape((-1,) + last.shape[-2:]))
         raise
     weights = _image_weights(conf) if weigh else None
+    # each image's mean confidence, so that no confidence plane is held through pass 2
+    conf = np.array([c.mean() for c in conf.reshape(-1, h, w)]).reshape(planes[:-2] + [1, 1]) if report else None
     if weigh:  # the weights with a class axis of length 1
         wide = list(stack.shape)
         wide[axis] = 1
@@ -324,11 +330,11 @@ def _run(stack, vicinity: VicinitySpec, policy: str, report: bool, axis: int = -
 
 
 def _summary(before: np.ndarray, conf: np.ndarray, weights: np.ndarray, after: np.ndarray) -> dict:
-    """``changed_fraction``, ``mean_weight`` and ``mean_confidence`` of one image's planes from :func:`_run`."""
+    """``changed_fraction``, ``mean_weight`` and ``mean_confidence`` of one image's outputs from :func:`_run`."""
     return dict(
         changed_fraction=float(np.mean(before != after)),
         mean_weight=float(weights.mean(dtype=np.float64)),
-        mean_confidence=float(conf.mean()),
+        mean_confidence=conf.item(),  # the (1, 1) mean
     )
 
 

@@ -20,9 +20,10 @@ input file named ``-`` is stdin. ``boost`` streams a seekable input and its
 output a band of rows at a time through the booster's pipeline, holding
 only the map's ``(H, W)`` planes and the bands in flight; ``--out`` is
 opened only once the whole input has passed its check, and may name the
-input. Its header is written after the last band, so a run cut short
-leaves a file that does not read as a tensor. An input pipe is read into
-memory first, and an output pipe takes the boosted map whole at the end.
+input. A TEN1 output file is overwritten in place, not truncated first,
+and its header is written last, so a run cut short leaves a file that does
+not read as a tensor. An input pipe is read into memory first, and an
+output pipe takes the boosted map whole at the end.
 Exit codes: 0 success, 1 usage error, 2 data error.
 """
 
@@ -30,8 +31,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,8 +47,7 @@ from .metrics import ConfusionMatrix
 from .pgm import labels_to_gray, write_pgm
 from .simulate import SimConfig, TrainingDiverged, ablate, rows_to_csv
 from .tensors import (IGNORE_LABEL, TensorFormatError, ValidationError, _check_classes, _check_map_kind, _read_ten1,
-                      _seek_layout, _ten1_array, _ten1_header, _Ten1Rows, _write_ten1, argmax_labels, one_hot,
-                      validate_probmap)
+                      _seek_layout, _ten1_array, _ten1_header, _Ten1Rows, argmax_labels, one_hot, validate_probmap)
 from .voting import BORDER_MODES, VicinitySpec, vote_integral
 
 
@@ -110,10 +112,29 @@ def _read_file(path: str, *kinds) -> np.ndarray:
     return arr
 
 
+@contextmanager
+def _output(path: str, dtype, shape: tuple):
+    """The file ``path`` names, opened for a TEN1 tensor of ``dtype`` and ``shape``, at the payload's start.
+
+    A regular file is overwritten in place, so its blocks are not freed only to be taken again: a zeroed
+    header first, then, once the block has written the payload without raising, a cut to the tensor's size
+    and the header, so a run cut short reads as bad magic. Anything else, as a pipe, takes it all in order.
+    """
+    header = _ten1_header(dtype, shape)
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as out:
+        in_place = stat.S_ISREG(os.fstat(out.fileno()).st_mode)
+        out.write(bytes(len(header)) if in_place else header)
+        yield out
+        if in_place:
+            out.truncate(len(header) + int(np.prod(shape)) * np.dtype(dtype).itemsize)
+            out.seek(0)
+            out.write(header)
+
+
 def _write_file(path: str, arr: np.ndarray) -> None:
-    """Write an array as a TEN1 file, with no copy of the file in memory."""
-    with open(path, "wb") as f:
-        _write_ten1(f, arr)
+    """Write an array as a TEN1 file through :func:`_output`, with no copy of the file in memory."""
+    with _output(path, arr.dtype, arr.shape) as out:
+        out.write(np.ascontiguousarray(arr, arr.dtype.newbyteorder("<")).data)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -151,23 +172,19 @@ def _cmd_boost(args) -> int:
         _check_kind(args.input, pred.dtype, pred.shape[1:], _PROBMAP)
         vicinity = _vicinity(args)
         _check_map_kind(pred.shape[1:], pred.dtype)
-        header = _ten1_header(np.float32, pred.shape[1:])
         out = None
 
         def sink():  # called once pass 1 has passed, so a map that fails its check leaves --out as it was
             nonlocal out
             if args.harden:  # the float32 bands are scratch; the labels are written once pass 2 ends
                 return lambda rows, band: None
-            out = files.enter_context(open(args.out, "wb"))
+            out = files.enter_context(_output(args.out, np.float32, pred.shape[1:]))
             if out.seekable():  # bands go to their offsets; None has _run build the map for a pipe
-                return _Ten1Rows(out, np.dtype("<f4"), pred.shape[1:], len(header)).write
+                return _Ten1Rows(out, np.dtype("<f4"), pred.shape[1:], out.tell()).write
 
         before, data, conf, weights, after = _run(pred, vicinity, args.policy, report=True, sink=sink)
         if data is not None:
-            _write_ten1(out, data[0])
-        elif out is not None:  # the header goes last, so a run cut short leaves no file that reads as a tensor
-            out.seek(0)
-            out.write(header)
+            out.write(np.ascontiguousarray(data[0], "<f4").data)
     if args.harden:
         _write_file(args.out, after[0])
     _print_metrics(**_summary(before[0], conf[0], weights[0], after[0]))

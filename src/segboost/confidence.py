@@ -35,12 +35,13 @@ def confidence(pred: np.ndarray) -> np.ndarray:
 
 def _neg_entropy(pred: np.ndarray, axis: int = -1) -> np.ndarray:
     """The confidence kernel over the class ``axis``, for a map already checked."""
-    # Both ufuncs compute in float64 straight from ``pred`` and touch only
-    # positive entries, so zeros (and anything else not > 0) add exactly 0.
-    positive = pred > 0.0
-    terms = np.zeros(pred.shape)
-    np.log(pred, out=terms, where=positive, dtype=np.float64)
-    np.multiply(terms, pred, out=terms, where=positive, dtype=np.float64)
+    # No mask: the log floors each entry at the smallest positive float64, which no positive entry is
+    # below (np.finfo().tiny is: a float64 subnormal's term would change). A zero then adds a signed zero,
+    # and each class sum starts from +0.0, so the bits are those of skipping zeros.
+    terms = pred.astype(np.float64)
+    np.maximum(terms, np.finfo(np.float64).smallest_subnormal, out=terms)
+    np.log(terms, out=terms)
+    np.multiply(terms, pred, out=terms, dtype=np.float64)
     return _over_classes(np.add, terms, axis=axis)
 
 

@@ -240,23 +240,16 @@ def _ten1_header(dtype, shape) -> bytes:
     return struct.pack(f"<4sBB{len(shape)}Q", _MAGIC, _CODE_FOR_KIND[kind], len(shape), *shape)
 
 
-def _write_ten1(stream, arr: np.ndarray) -> None:
-    """Write an array to a binary stream as TEN1: its header, then its C-ordered little-endian buffer."""
-    arr = np.asarray(arr)
-    header = _ten1_header(arr.dtype, arr.shape)
-    arr = np.asarray(arr, dtype=arr.dtype.newbyteorder("<"), order="C")  # keeps a 0-d array 0-d
-    stream.write(header)
-    stream.write(arr.data)
-
-
 def write_tensor(arr: np.ndarray) -> bytes:
     """Serialize an array to TEN1 bytes.
 
     Layout: ``b"TEN1"``, 1 dtype byte (0=f32, 1=u16, 2=u8), 1 ndim byte,
     ndim little-endian u64 dims, then the row-major little-endian payload.
     """
+    arr = np.asarray(arr)
     out = io.BytesIO()
-    _write_ten1(out, arr)
+    out.write(_ten1_header(arr.dtype, arr.shape))
+    out.write(np.asarray(arr, dtype=arr.dtype.newbyteorder("<"), order="C").data)  # keeps a 0-d array 0-d
     return out.getvalue()
 
 

@@ -14,11 +14,12 @@ conventions are supported:
 
 All counting is integer and the division happens once at the end, so the
 reference path (:func:`vote_naive`) and the summed-area-table path
-(:func:`vote_integral`) produce bit-identical float32 output, and results
-do not depend on how the work is partitioned across threads: the booster
-counts the votes of its row bands on two threads at once, each band's
-rows from a table over the band and its halo. Every table, at every map
-size and in the simulator's box-mean features too, is one build. The
+(:func:`vote_integral`) produce bit-identical float32 output, whatever the
+table's width or the threads the work is split across: the booster counts
+its row bands on two threads, each from a table over the band and its halo.
+Its bool one-hot's table is only as wide as the window area needs (``uint8``
+up to 255 pixels) and may wrap around: unsigned sums are exact modulo
+2**bits, so a window sum that fits the dtype comes out exact. The
 reference path counts each window and measures its in-bounds area in its
 own loop; it shares only that final division with the path it checks.
 
@@ -113,7 +114,7 @@ def _window_sums(values: np.ndarray, r_rows: int, r_cols: int, dtype, rows: slic
     body[...] = values
     for i in range(1, h):
         np.add(body[i - 1], body[i], out=body[i])
-    np.cumsum(body, axis=1, out=body)
+    np.cumsum(body, axis=1, out=body, dtype=dtype)  # without dtype, numpy sums a narrow integer in int64
     sat[:, rc + 1 + w:] = sat[:, rc + w:rc + w + 1]
     sat[rr + 1 + h:] = sat[rr + h:rr + h + 1]
     top, stop, _ = rows.indices(h)
@@ -129,14 +130,14 @@ def _window_sums(values: np.ndarray, r_rows: int, r_cols: int, dtype, rows: slic
 
 
 def _finish(counts: np.ndarray, area: np.ndarray, v: VicinitySpec, ops: OpCounter | None):
-    # Integer counts / int64 divisor computed in float64, rounded once into
-    # float32; shared by both paths so bit-identity reduces to equality of
-    # the integer counts, whatever their width.
+    # Integer counts / exact float64 divisor, in float64, rounded once into
+    # float32; shared by both paths so bit-identity reduces to equality
+    # of the integer counts, whatever their width.
     clip = v.border == "clip"
     if ops is not None:
         ops.tally(counts.size + (3 * area.size if clip else 0))  # area: 2 subtractions + 1 product
-    votes = np.empty(counts.shape, dtype=np.float32)
-    np.divide(counts, area[:, :, None] if clip else np.int64(v.size), out=votes, dtype=np.float64)
+    votes = np.empty(counts.shape, dtype=np.float32)  # the area plane is cast once, not at each of its K uses
+    np.divide(counts, area.astype(np.float64)[:, :, None] if clip else np.float64(v.size), out=votes)
     return votes
 
 
@@ -180,7 +181,7 @@ def vote_integral(p_oh: np.ndarray, v: VicinitySpec, ops: OpCounter | None = Non
 
 
 def _band_votes(p_oh: np.ndarray, v: VicinitySpec, rows: slice, ops: OpCounter | None = None) -> np.ndarray:
-    """:func:`vote_integral` of ``rows`` of an ``(H, W, K)`` integer one-hot whose other rows are a halo.
+    """:func:`vote_integral` of ``rows`` of an ``(H, W, K)`` integer or bool one-hot whose other rows are a halo.
 
     Halo rows vote into the windows of ``rows`` but are not voted on: the
     table covers the whole block, and corners are combined and divided only
@@ -188,8 +189,10 @@ def _band_votes(p_oh: np.ndarray, v: VicinitySpec, rows: slice, ops: OpCounter |
     around ``rows`` gives those rows the bytes of the whole image's votes.
     """
     h, w = p_oh.shape[:2]
-    # Each count is at most h * w, so int32 cannot overflow below 2**31 pixels.
-    dtype = np.int32 if h * w < 2**31 else np.int64
+    if p_oh.dtype == bool:  # each count is at most the window area: the table may wrap (see the module text)
+        dtype = np.uint8 if v.size <= 255 else np.uint32 if v.size < 2**32 else np.uint64  # uint16 sums slower
+    else:  # any integer map; a 0/1 map's counts are at most h * w, so int32 cannot overflow below 2**31 pixels
+        dtype = np.int32 if h * w < 2**31 else np.int64
     counts, area = _window_sums(p_oh, v.height // 2, v.width // 2, dtype, rows)
     return _finish(counts, area, v, ops)
 

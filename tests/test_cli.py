@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter
@@ -392,6 +393,17 @@ class TestStreamedBoost:
         src.write_bytes(blob)
         assert run_cli("boost", str(src), "--out", str(tmp_path / "o.ten1")) == (2, "", f"error: {info.value}\n")
 
+    def test_a_tall_map_with_no_pixels_exits_at_once(self, tmp_path):
+        # a 30-byte file naming (2**22, 0, 3) kept a loop over its bands busy for 3 to 6 s; a larger h would
+        # only cost more time and memory to show the same fault, so no larger case is made
+        src = tmp_path / "pred.ten1"
+        src.write_bytes(b"TEN1" + bytes([0, 3]) + struct.pack("<3Q", 2**22, 0, 3))
+        start = time.perf_counter()
+        done = run_cli("boost", str(src), "--out", str(tmp_path / "o.ten1"))
+        assert time.perf_counter() - start < 0.1
+        assert done == (2, "", "error: confidence plane of shape (4194304, 0) has no pixels\n")
+        assert not (tmp_path / "o.ten1").exists()
+
     def test_a_run_cut_short_leaves_no_file_that_reads_as_a_tensor(self, probmap, tmp_path, monkeypatch):
         # band 1 of 2 is written before band 0 fails, so the file has the size of the whole tensor
         path, _ = probmap
@@ -468,6 +480,56 @@ class TestStreamedBoost:
             tracemalloc.stop()
         nbytes = 1024 * 512 * 19 * 4
         assert peak <= 0.6 * nbytes, f"peak {peak / nbytes:.2f}x the input"
+
+
+class TestOutputsInPlace:
+    """A TEN1 ``--out`` is overwritten in place, not truncated first, and ends with the bytes of a fresh write."""
+
+    @pytest.mark.parametrize("command", [["boost"], ["boost", "--harden"], ["conf"], ["vote"]])
+    @pytest.mark.parametrize("before", ["longer", "shorter", "the same tensor"])
+    def test_an_existing_out_ends_as_a_fresh_write(self, probmap, tmp_path, command, before):
+        path, _ = probmap
+        fresh, out = tmp_path / "fresh.ten1", tmp_path / "out.ten1"
+        want = run_cli(command[0], str(path), "--out", str(fresh), *command[1:])
+        size = fresh.stat().st_size
+        out.write_bytes({"longer": b"\xff" * (size + 4099), "shorter": b"TEN1\x00",
+                         "the same tensor": fresh.read_bytes()}[before])
+        assert run_cli(command[0], str(path), "--out", str(out), *command[1:]) == want and want[0] == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("first, then", [([], ["--harden"]), (["--harden"], [])])
+    def test_harden_and_soft_outputs_overwrite_each_other(self, probmap, tmp_path, first, then):
+        path, _ = probmap
+        fresh, out = tmp_path / "fresh.ten1", tmp_path / "out.ten1"
+        assert run_cli("boost", str(path), "--out", str(out), *first)[0] == 0
+        assert run_cli("boost", str(path), "--out", str(out), *then) == run_cli(
+            "boost", str(path), "--out", str(fresh), *then)
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_pass_2_failure_over_an_earlier_output_leaves_bad_magic(self, probmap, tmp_path, monkeypatch, threads):
+        # the earlier output is a whole tensor of the same shape; its header must not survive the failed run
+        path, _ = probmap
+        out = tmp_path / "o.ten1"
+        assert run_cli("boost", str(path), "--out", str(out))[0] == 0
+        monkeypatch.setattr(segboost.booster, "_BAND_ROWS", 5)
+        monkeypatch.setattr(segboost.booster, "_THREADS", threads)
+        votes = segboost.booster._votes
+        def vote(labels, rows, *args):
+            if rows.start == 5:
+                raise OSError("no space left on device")
+            return votes(labels, rows, *args)
+        monkeypatch.setattr(segboost.booster, "_votes", vote)
+        assert run_cli("boost", str(path), "--out", str(out)) == (2, "", "error: no space left on device\n")
+        with pytest.raises(TensorFormatError, match="bad magic"):
+            read_tensor(out.read_bytes())
+
+    @pytest.mark.parametrize("command", [["boost"], ["boost", "--harden"], ["conf"]])
+    def test_out_may_name_a_device_that_cannot_be_cut(self, probmap, tmp_path, command):
+        # the null device seeks but cannot be truncated; only a regular file is overwritten in place
+        path, _ = probmap
+        want = run_cli(command[0], str(path), "--out", str(tmp_path / "o.ten1"), *command[1:])
+        assert run_cli(command[0], str(path), "--out", os.devnull, *command[1:]) == want and want[0] == 0
 
 
 class TestVoteAndConf:

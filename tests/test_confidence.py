@@ -2,8 +2,26 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from segboost import ValidationError, adaptive_weights, confidence, one_hot
+from segboost.confidence import _neg_entropy
+from segboost.tensors import _over_classes
+
+
+def _masked_neg_entropy(pred, axis=-1):
+    """The kernel with a mask: log and product only where an entry is > 0, so a zero adds exactly +0.0."""
+    positive = pred > 0.0
+    terms = np.zeros(pred.shape)
+    np.log(pred, out=terms, where=positive, dtype=np.float64)
+    np.multiply(terms, pred, out=terms, where=positive, dtype=np.float64)
+    return _over_classes(np.add, terms, axis=axis)
+
+
+# exact zeros of both signs, exact ones, subnormals of both dtypes, and anything else in [0, 1]
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, 0.5, 5e-324, 1e-310, 1e-45, 1e-38]) | st.floats(0.0, 1.0)
 
 
 class TestConfidence:
@@ -48,6 +66,17 @@ class TestConfidence:
             with np.errstate(divide="ignore", invalid="ignore"):
                 want = np.where(p > 0, p * np.log(p), 0.0).sum(axis=2)
             assert confidence(pred).tobytes() == want.tobytes()
+
+    @given(k=st.integers(1, 21), dtype=st.sampled_from([np.float32, np.float64]), data=st.data())
+    def test_mask_free_kernel_has_the_bits_of_the_masked_one(self, k, dtype, data):
+        pred = data.draw(arrays(dtype, (3, 4, k), elements=_ENTRIES))
+        pred[0, 0] = 0.0  # an all-zero row
+        pred[0, 1] = -0.0
+        want = _masked_neg_entropy(pred).tobytes()
+        assert _neg_entropy(pred).tobytes() == want
+        assert confidence(pred).tobytes() == want
+        major = np.ascontiguousarray(np.moveaxis(pred, -1, 0))  # the class-major layout
+        assert _neg_entropy(major, axis=0).tobytes() == want
 
     def test_negative_probability_rejected(self):
         pred = np.full((2, 2, 2), 0.5)

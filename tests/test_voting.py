@@ -277,6 +277,13 @@ class TestVoterProperties:
         v = VicinitySpec(2 * h + extra[0], 2 * w + extra[1], border)
         _assert_voters_agree(data.draw(_label_maps((h, w), k)), k, v)
 
+    @given(h=_sides, w=_sides, k=st.integers(1, 3), v=_vicinities,
+           dtype=st.sampled_from([np.uint8, np.int16, np.int64]), data=st.data())
+    def test_integer_maps_with_entries_above_one(self, h, w, k, v, dtype, data):
+        # any integer map is counted, and a count past 255 must not wrap
+        p_oh = data.draw(arrays(dtype, (h, w, k), elements=st.integers(0, 1) | st.integers(2, 127)))
+        assert vote_integral(p_oh, v).tobytes() == vote_naive(p_oh, v).tobytes()
+
     @given(h=_sides, w=_sides, k=st.integers(1, 4), v=_vicinities, line=st.sampled_from([None, 0, 1]),
            data=st.data())
     def test_int32_window_sums_equal_int64(self, h, w, k, v, line, data):
